@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages; global flags select the config
 file, seed, output directory, and thread count.  Exit codes: 0 success,
-1 validation error, 2 stage failure, 3 success with diagnostic warnings.
+1 validation error, 2 stage failure, 3 success with diagnostic warnings
+(sampler diagnostics, or no group large enough for discovery).
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def _execute(stage_fn, cfg) -> list[str]:
         sys.exit(EXIT_STAGE)
 
 
+def _report_flags(flags: list[str]) -> None:
+    """Print each diagnostic flag; any flag means exit code 3."""
+    for flag in flags:
+        click.echo(f"warning: {flag}", err=True)
+    if flags:
+        sys.exit(EXIT_WARNINGS)
+
+
 @main.command()
 @click.pass_context
 def synth(ctx):
@@ -90,10 +99,7 @@ def fit(ctx):
     cfg = _config(ctx)
     flags = _execute(run_fit, cfg)
     click.echo(f"fit artifacts written to {cfg.out_dir}")
-    if flags:
-        for flag in flags:
-            click.echo(f"warning: {flag}", err=True)
-        sys.exit(EXIT_WARNINGS)
+    _report_flags(flags)
 
 
 @main.command()
@@ -119,8 +125,9 @@ def group(ctx):
 def discover(ctx):
     """Run per-group causal discovery and write the run report."""
     cfg = _config(ctx)
-    _execute(run_discover, cfg)
+    flags = _execute(run_discover, cfg)
     click.echo(f"discovery artifacts written to {cfg.out_dir}")
+    _report_flags(flags)
 
 
 @main.command()
@@ -132,10 +139,7 @@ def pipeline(ctx, no_cache):
     cfg = _config(ctx)
     flags = _execute(lambda c: run_pipeline(c, use_cache=not no_cache), cfg)
     click.echo(f"pipeline artifacts written to {cfg.out_dir}")
-    if flags:
-        for flag in flags:
-            click.echo(f"warning: {flag}", err=True)
-        sys.exit(EXIT_WARNINGS)
+    _report_flags(flags)
 
 
 @main.command()

@@ -33,6 +33,9 @@ from .grouping import GroupDataset, min_members
 
 CONSTANT_SD_TOL = 1e-12
 COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
+# a column is dependent when its residual on the earlier kept columns has
+# norm below DEPENDENT_TOL times its own
+DEPENDENT_TOL = 1e-6
 TARGET_NAME = "u"
 
 
@@ -68,8 +71,28 @@ class StandardizedData:
         return self.x.shape[1]
 
 
+def _dependent_columns(z: np.ndarray) -> np.ndarray:
+    """Mask of centred columns that are linear combinations of earlier ones.
+
+    Gram-Schmidt in column order, so of a dependent set the later columns
+    drop and the result does not depend on rounding in a pivot choice.
+    """
+    basis = np.empty((z.shape[0], 0))
+    dependent = np.zeros(z.shape[1], dtype=bool)
+    for j, col in enumerate(z.T):
+        resid = col - basis @ (basis.T @ col)
+        resid -= basis @ (basis.T @ resid)  # second pass keeps the basis orthogonal
+        norm = np.linalg.norm(resid)
+        if norm <= DEPENDENT_TOL * np.linalg.norm(col):
+            dependent[j] = True
+        else:
+            basis = np.column_stack([basis, resid / norm])
+    return dependent
+
+
 def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
-    """Standardize columns; constant columns are dropped with a warning."""
+    """Standardize columns, dropping with a warning each column that is
+    constant or an exact linear combination of earlier columns."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise LingamError("expected a 2-d data matrix")
@@ -82,15 +105,24 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     dropped = tuple(str(n) for n, k in zip(names, keep) if not k)
     if dropped:
         warnings.warn(f"dropping constant columns: {', '.join(dropped)}")
-    x, mean, sd = x[:, keep], mean[keep], sd[keep]
-    if x.shape[1] == 0:
+    if not keep.any():
         raise LingamError("all columns are constant")
+    kept = np.flatnonzero(keep)
+    z = (x[:, kept] - mean[kept]) / sd[kept]
+    independent = ~_dependent_columns(z)
+    linear = tuple(str(names[i]) for i in kept[~independent])
+    if linear:
+        warnings.warn(
+            "dropping linearly dependent columns (exact combinations of "
+            f"earlier columns): {', '.join(linear)}"
+        )
+    kept = kept[independent]
     return StandardizedData(
-        x=(x - mean) / sd,
-        mean=mean,
-        sd=sd,
-        names=tuple(str(n) for n, k in zip(names, keep) if k),
-        dropped=dropped,
+        x=z[:, independent],
+        mean=mean[kept],
+        sd=sd[kept],
+        names=tuple(str(names[i]) for i in kept),
+        dropped=dropped + linear,
     )
 
 
@@ -442,7 +474,10 @@ def discover(group: GroupDataset, config: LingamConfig = LingamConfig()) -> Caus
     names = (*group.feature_names, TARGET_NAME)
     std = standardize(x_raw, names)
     if TARGET_NAME in std.dropped:
-        raise LingamError("target variable is constant within the group")
+        raise LingamError(
+            "target variable is constant or a linear combination of the features "
+            "within the group"
+        )
     kept_idx = [i for i, n in enumerate(names) if n in std.names]
     x_kept = x_raw[:, kept_idx]
 

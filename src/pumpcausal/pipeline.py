@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from . import data as data_mod
 from . import features as features_mod
 from . import lingam as lingam_mod
 from .diagnostics import RandomEffectEstimate, extract_random_effects
-from .errors import ConfigError, DataError, InsufficientGroupError, PumpcausalError, StageError
+from .errors import ConfigError, DataError, PumpcausalError, StageError
 from .grouping import (
     Group,
     GroupAssignment,
@@ -35,6 +37,7 @@ from .grouping import (
     min_members,
 )
 from .hazard import ParamLayout, make_logp_and_grad
+from .lingam import LingamConfig
 from .nuts import (
     SamplerConfig,
     diagnostic_flags,
@@ -67,7 +70,12 @@ U_HIST_BINS = 20
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every stage's settings plus the output directory and global seed."""
+    """Every stage's settings plus the output directory and global seed.
+
+    The sampler and LiNGAM defaults are those of ``SamplerConfig`` and
+    ``LingamConfig``, whose fields ``sampler_config`` and ``lingam_config``
+    copy from here by name.
+    """
 
     out_dir: Path = Path("out")
     seed: int = 0
@@ -77,18 +85,18 @@ class PipelineConfig:
     timeseries: Path | None = None
     top_k: int = 10
     synth: SynthConfig = SynthConfig()
-    n_draws: int = 2000
-    n_tune: int = 1000
-    n_chains: int = 8
-    target_accept: float = 0.95
-    max_tree_depth: int = 10
+    n_draws: int = SamplerConfig.n_draws
+    n_tune: int = SamplerConfig.n_tune
+    n_chains: int = SamplerConfig.n_chains
+    target_accept: float = SamplerConfig.target_accept
+    max_tree_depth: int = SamplerConfig.max_tree_depth
     use_covariates: bool = True
-    feature_window: int = 90
+    feature_window: int = features_mod.DEFAULT_WINDOW
     feature_window_end: int | None = None
     active_features: tuple[str, ...] = features_mod.DEFAULT_ACTIVE_FEATURES
-    ica_tol: float = 1e-4
-    ica_max_iter: int = 200
-    n_bootstrap: int = 1000
+    ica_tol: float = LingamConfig.ica_tol
+    ica_max_iter: int = LingamConfig.ica_max_iter
+    n_bootstrap: int = LingamConfig.n_bootstrap
 
     def __post_init__(self):
         if self.source not in ("synth", "files"):
@@ -105,25 +113,14 @@ class PipelineConfig:
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
 
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            n_draws=self.n_draws,
-            n_tune=self.n_tune,
-            n_chains=self.n_chains,
-            target_accept=self.target_accept,
-            max_tree_depth=self.max_tree_depth,
-            seed=self.seed,
-            threads=self.threads,
-        )
+    def _project(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
 
-    def lingam_config(self) -> lingam_mod.LingamConfig:
-        return lingam_mod.LingamConfig(
-            ica_tol=self.ica_tol,
-            ica_max_iter=self.ica_max_iter,
-            n_bootstrap=self.n_bootstrap,
-            seed=self.seed,
-            threads=self.threads,
-        )
+    def sampler_config(self) -> SamplerConfig:
+        return self._project(SamplerConfig)
+
+    def lingam_config(self) -> LingamConfig:
+        return self._project(LingamConfig)
 
     def path(self, key: str) -> Path:
         return Path(self.out_dir) / FILES[key]
@@ -135,6 +132,9 @@ class PipelineConfig:
         return Path(self.timeseries) if self.source == "files" else self.path("timeseries")
 
 
+# The config file's schema: the keys each section accepts.  A key sets the
+# field of the same name (of SynthConfig for [synth], of PipelineConfig
+# otherwise) unless _FIELD_FOR_KEY renames it.
 _SECTION_KEYS = {
     "pipeline": {"out_dir", "seed", "threads", "source", "inspections", "timeseries", "top_k"},
     "synth": {
@@ -146,6 +146,23 @@ _SECTION_KEYS = {
     "features": {"window", "window_end", "active"},
     "lingam": {"n_bootstrap", "ica_tol", "ica_max_iter"},
 }
+_FIELD_FOR_KEY = {
+    "window": "feature_window",
+    "window_end": "feature_window_end",
+    "active": "active_features",
+}
+
+
+def _parse_value(raw: str, kind):
+    """Convert a config string to a field's annotated type."""
+    if typing.get_origin(kind) is tuple:  # tuple[str, ...]: comma-separated
+        return tuple(item.strip() for item in raw.split(",") if item.strip())
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None parses as X
+        (kind,) = (a for a in args if a is not type(None))
+    if kind is bool:
+        return raw.strip().lower() in ("1", "true", "yes", "on")
+    return kind(raw)
 
 
 def load_config(
@@ -156,11 +173,10 @@ def load_config(
 ) -> PipelineConfig:
     """Build a PipelineConfig from an INI-style file plus CLI overrides.
 
-    Every key has a default matching the documented settings (2000 draws,
-    1000 tune, 8 chains, 0.95 target acceptance, 1000 bootstrap resamples,
-    90-day windows); an absent file means all defaults.
+    An absent file, key or blank value keeps the dataclass default;
+    ``threads = 0`` means all available cores.
     """
-    values: dict[str, dict[str, str]] = {}
+    fields: dict[type, dict] = {SynthConfig: {}, PipelineConfig: {}}
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -173,76 +189,29 @@ def load_config(
         for section in parser.sections():
             if section not in _SECTION_KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in parser[section]:
+            owner = SynthConfig if section == "synth" else PipelineConfig
+            hints = typing.get_type_hints(owner)
+            for key, raw in parser[section].items():
                 if key not in _SECTION_KEYS[section]:
                     raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            values[section] = dict(parser[section])
-
-    def get(section: str, key: str, default):
-        raw = values.get(section, {}).get(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            if isinstance(default, bool) or key == "use_covariates":
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            if isinstance(default, int) and not isinstance(default, bool):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
-        return raw
-
-    seed_val = seed if seed is not None else get("pipeline", "seed", 0)
-    threads_raw = threads if threads is not None else get("pipeline", "threads", 0)
-    active_raw = values.get("features", {}).get("active", "")
-    active = (
-        tuple(name.strip() for name in active_raw.split(",") if name.strip())
-        if active_raw
-        else features_mod.DEFAULT_ACTIVE_FEATURES
-    )
-    window_end_raw = values.get("features", {}).get("window_end", "")
-    inspections = values.get("pipeline", {}).get("inspections") or None
-    timeseries = values.get("pipeline", {}).get("timeseries") or None
-    try:
-        synth = SynthConfig(
-            n_pumps=get("synth", "n_pumps", 30),
-            n_states=get("synth", "n_states", 8),
-            sigma_u=get("synth", "sigma_u", 1.0),
-            study_days=get("synth", "study_days", 650),
-            interval_min=get("synth", "interval_min", 7),
-            interval_max=get("synth", "interval_max", 173),
-            ar_coeff=get("synth", "ar_coeff", 0.8),
-            ar_noise_sd=get("synth", "ar_noise_sd", 0.5),
-            scenario_rows=get("synth", "scenario_rows", 2000),
-            seed=seed_val,
-        )
-        return PipelineConfig(
-            out_dir=Path(out_dir) if out_dir is not None else Path(get("pipeline", "out_dir", "out")),
-            seed=seed_val,
-            threads=threads_raw if threads_raw else None,
-            source=get("pipeline", "source", "synth"),
-            inspections=Path(inspections) if inspections else None,
-            timeseries=Path(timeseries) if timeseries else None,
-            top_k=get("pipeline", "top_k", 10),
-            synth=synth,
-            n_draws=get("sampler", "n_draws", 2000),
-            n_tune=get("sampler", "n_tune", 1000),
-            n_chains=get("sampler", "n_chains", 8),
-            target_accept=get("sampler", "target_accept", 0.95),
-            max_tree_depth=get("sampler", "max_tree_depth", 10),
-            use_covariates=get("hazard", "use_covariates", True),
-            feature_window=get("features", "window", 90),
-            feature_window_end=int(window_end_raw) if window_end_raw else None,
-            active_features=active,
-            ica_tol=get("lingam", "ica_tol", 1e-4),
-            ica_max_iter=get("lingam", "ica_max_iter", 200),
-            n_bootstrap=get("lingam", "n_bootstrap", 1000),
-        )
-    except PumpcausalError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+                if raw == "":
+                    continue
+                name = _FIELD_FOR_KEY.get(key, key)
+                try:
+                    fields[owner][name] = _parse_value(raw, hints[name])
+                except ValueError:
+                    raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
+    overrides = {
+        "seed": seed,
+        "out_dir": Path(out_dir) if out_dir is not None else None,
+        "threads": threads,
+    }
+    settings = fields[PipelineConfig]
+    settings.update({k: v for k, v in overrides.items() if v is not None})
+    if settings.get("threads") == 0:
+        settings["threads"] = None
+    synth = SynthConfig(**fields[SynthConfig], seed=settings.get("seed", PipelineConfig.seed))
+    return PipelineConfig(**settings, synth=synth)
 
 
 def _stage_guard(stage: str):
@@ -276,19 +245,15 @@ def run_synth(cfg: PipelineConfig) -> None:
         synthesis.truth.write(cfg.path("ground_truth"))
 
 
-def _load_inputs(cfg: PipelineConfig):
-    records = data_mod.ingest_inspections(cfg.inspections_path())
-    series = data_mod.ingest_timeseries(cfg.timeseries_path())
-    return records, series
-
-
 def run_fit(cfg: PipelineConfig) -> list[str]:
     """Fit the hazard model; returns soft diagnostic flags."""
     with _stage_guard("fit"):
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        records, series = _load_inputs(cfg)
-        covariates = series if cfg.use_covariates else []
+        records = data_mod.ingest_inspections(cfg.inspections_path())
+        covariates = (
+            data_mod.ingest_timeseries(cfg.timeseries_path()) if cfg.use_covariates else []
+        )
         build = data_mod.build_transitions(records, covariates)
         data_mod.write_transitions_csv(build.dataset, cfg.path("transitions"))
         layout = ParamLayout.for_dataset(build.dataset)
@@ -408,9 +373,10 @@ def read_groups(path: Path) -> list[tuple[str, float, Group]]:
     return out
 
 
-def _group_datasets_from_artifacts(cfg: PipelineConfig):
+def _group_datasets_from_artifacts(
+    cfg: PipelineConfig, rows: list[tuple[str, float, Group]]
+) -> tuple[GroupDataset, GroupDataset]:
     matrix = features_mod.read_features_csv(cfg.path("features"))
-    rows = read_groups(cfg.path("groups"))
     by_id = {pid: (u, grp) for pid, u, grp in rows}
     missing = [pid for pid in matrix.pump_ids if pid not in by_id]
     if missing:
@@ -419,7 +385,7 @@ def _group_datasets_from_artifacts(cfg: PipelineConfig):
         GroupAssignment(pump_index=i, u_mean=by_id[pid][0], group=by_id[pid][1])
         for i, pid in enumerate(matrix.pump_ids)
     ]
-    return matrix, build_group_datasets(matrix, assignments)
+    return build_group_datasets(matrix, assignments)
 
 
 def _write_u_hist(rows: list[tuple[str, float, Group]], path: Path) -> None:
@@ -468,36 +434,37 @@ def _write_top_effects(model: lingam_mod.CausalModel, path: Path, top_k: int) ->
             )
 
 
-def discover_group(
-    group_data: GroupDataset, cfg: PipelineConfig
-) -> lingam_mod.CausalModel:
-    return lingam_mod.discover(group_data, cfg.lingam_config())
+def _discovery_flags(skipped_groups: list[str]) -> list[str]:
+    """A flag when every group was skipped, so discovery produced nothing."""
+    if len(skipped_groups) < len(Group):
+        return []
+    skipped = ", ".join(sorted(skipped_groups))
+    return [f"no group analysed: skipped {skipped} (too few members)"]
 
 
-def run_discover(cfg: PipelineConfig) -> None:
-    """Per-group causal discovery plus figure data and the run report."""
+def run_discover(cfg: PipelineConfig) -> list[str]:
+    """Per-group causal discovery plus figure data and the run report.
+
+    Returns a flag when no group was large enough to analyse.
+    """
     with _stage_guard("discover"):
-        matrix, (positive, negative) = _group_datasets_from_artifacts(cfg)
         rows = read_groups(cfg.path("groups"))
         _write_u_hist(rows, cfg.path("u_hist"))
         skipped: list[str] = []
-        for group_data in (positive, negative):
+        for group_data in _group_datasets_from_artifacts(cfg, rows):
             paths = group_artifact_paths(cfg, group_data.group)
             if group_data.count < min_members(len(group_data.feature_names)):
                 skipped.append(group_data.group.value)
                 for stale in paths.values():
                     stale.unlink(missing_ok=True)
                 continue
-            try:
-                model = discover_group(group_data, cfg)
-            except InsufficientGroupError:
-                skipped.append(group_data.group.value)
-                continue
+            model = lingam_mod.discover(group_data, cfg.lingam_config())
             lingam_mod.write_adjacency_csv(model, paths["adjacency"])
             lingam_mod.write_order_json(model, paths["order"])
             lingam_mod.write_effects_csv(model, paths["effects"])
             _write_top_effects(model, paths["top_effects"], cfg.top_k)
         build_report(cfg, skipped_groups=skipped)
+        return _discovery_flags(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +498,6 @@ class RunReport:
     effects: dict
     gap_ratio: float | None
     skipped_groups: list[str]
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_payload(self) -> dict:
-        return {
-            "sampler": self.sampler,
-            "groups": self.groups,
-            "effects": self.effects,
-            "gap_ratio": self.gap_ratio,
-            "skipped_groups": self.skipped_groups,
-        }
 
 
 def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -> RunReport:
@@ -583,20 +540,15 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
             gap_ratio: float | None = hi / lo if lo > 0.0 else float("inf")
         else:
             gap_ratio = None
-        timings = {}
-        timings_path = cfg.path("timings")
-        if timings_path.exists():
-            timings = json.loads(timings_path.read_text(encoding="utf-8"))
         report = RunReport(
             sampler=sampler_summary,
             groups=groups_summary,
             effects=effects,
             gap_ratio=gap_ratio,
             skipped_groups=sorted(skipped_groups),
-            timings=timings,
         )
         cfg.path("report").write_text(
-            json.dumps(report.to_payload(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(dataclasses.asdict(report), indent=2) + "\n", encoding="utf-8"
         )
         return report
 
@@ -621,7 +573,9 @@ def _stage_signature(cfg: PipelineConfig, stage: str) -> str:
         parts.append(repr(cfg.synth))
     elif stage == "fit":
         parts += [repr(cfg.sampler_config()), str(cfg.use_covariates)]
-        inputs = [cfg.inspections_path(), cfg.timeseries_path()]
+        inputs = [cfg.inspections_path()]
+        if cfg.use_covariates:
+            inputs.append(cfg.timeseries_path())
     elif stage == "features":
         parts += [
             str(cfg.feature_window),
@@ -694,7 +648,8 @@ def _record_stage(cfg: PipelineConfig, manifest: dict, stage: str) -> None:
 def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
     """Run all stages in order, skipping stages whose cache entry is valid.
 
-    Returns the fit stage's diagnostic flags (from fresh or cached output).
+    Returns the fit stage's diagnostic flags and the discover stage's flag
+    (read from their fresh or cached output).
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(cfg) if use_cache else {}
@@ -719,8 +674,5 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
     cfg.path("timings").write_text(
         json.dumps(timings, indent=2) + "\n", encoding="utf-8"
     )
-    diag_path = cfg.path("diagnostics")
-    if diag_path.exists():
-        summary = json.loads(diag_path.read_text(encoding="utf-8"))["summary"]
-        return list(summary.get("flags", []))
-    return []
+    report = json.loads(cfg.path("report").read_text(encoding="utf-8"))
+    return list(report["sampler"].get("flags", [])) + _discovery_flags(report["skipped_groups"])

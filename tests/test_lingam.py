@@ -56,6 +56,24 @@ class TestStandardize:
         with pytest.raises(LingamError):
             standardize(np.ones((30, 2)), ["a", "b"])
 
+    def test_linear_combination_dropped_by_name(self):
+        rng = np.random.default_rng(1)
+        a, b, c = rng.normal(size=(3, 60))
+        x = np.column_stack([a, b, a - b + 2.0, c])
+        with pytest.warns(UserWarning, match="linearly dependent columns.*a_minus_b"):
+            std = standardize(x, ["a", "b", "a_minus_b", "c"])
+        assert std.names == ("a", "b", "c")
+        assert std.dropped == ("a_minus_b",)
+        kept = x[:, [0, 1, 3]]
+        np.testing.assert_allclose(std.x, (kept - kept.mean(axis=0)) / kept.std(axis=0), atol=1e-12)
+
+    def test_independent_columns_all_kept(self):
+        x = np.random.default_rng(2).normal(size=(30, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            std = standardize(x, [f"v{j}" for j in range(20)])
+        assert std.n_vars == 20 and std.dropped == ()
+
 
 class TestFastIca:
     def test_identity_mixing_recovers_signed_permutation(self):
@@ -350,6 +368,21 @@ class TestDiscover:
             warnings.simplefilter("ignore")
             with pytest.raises(LingamError, match="target"):
                 discover(flat, LingamConfig(n_bootstrap=5))
+
+    def test_target_combination_of_features_errors(self):
+        scenario = generate_lingam_scenario(SynthConfig(seed=9, scenario_rows=200))
+        group = _group_from_scenario(scenario)
+        derived = GroupDataset(
+            group=group.group,
+            features=group.features,
+            target=group.features @ np.arange(1.0, group.features.shape[1] + 1),
+            pump_indices=group.pump_indices,
+            feature_names=group.feature_names,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(LingamError, match="linear combination"):
+                discover(derived, LingamConfig(n_bootstrap=5))
 
 
 @pytest.fixture(scope="module")

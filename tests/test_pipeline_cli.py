@@ -1,13 +1,16 @@
 """Pipeline stages, caching, config parsing, and CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from pumpcausal.cli import main
 from pumpcausal.errors import ConfigError
-from pumpcausal.pipeline import PipelineConfig, load_config
+from pumpcausal.lingam import LingamConfig
+from pumpcausal.nuts import SamplerConfig
+from pumpcausal.pipeline import _SECTION_KEYS, PipelineConfig, load_config
 
 SMALL_CONFIG = """
 [pipeline]
@@ -62,6 +65,76 @@ class TestConfigLoading:
         assert cfg.feature_window == 90
         assert len(cfg.active_features) == 22
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = load_config(None)
+        assert cfg == PipelineConfig()
+        assert cfg.sampler_config() == SamplerConfig(seed=cfg.seed)
+        assert cfg.lingam_config() == LingamConfig(seed=cfg.seed)
+        seeded = load_config(None, seed=7)
+        assert seeded.sampler_config() == SamplerConfig(seed=7)
+        assert seeded.lingam_config() == LingamConfig(seed=7)
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        inspections = tmp_path / "i.csv"
+        timeseries = tmp_path / "t.csv"
+        inspections.write_text("")
+        timeseries.write_text("")
+        values = {
+            "pipeline": {
+                "out_dir": ("elsewhere", "out_dir", Path("elsewhere")),
+                "seed": ("5", "seed", 5),
+                "threads": ("0", "threads", None),  # 0 = all cores
+                "source": ("files", "source", "files"),
+                "inspections": (str(inspections), "inspections", inspections),
+                "timeseries": (str(timeseries), "timeseries", timeseries),
+                "top_k": ("3", "top_k", 3),
+            },
+            "synth": {
+                "n_pumps": ("12", "n_pumps", 12),
+                "n_states": ("6", "n_states", 6),
+                "sigma_u": ("0.5", "sigma_u", 0.5),
+                "study_days": ("400", "study_days", 400),
+                "interval_min": ("5", "interval_min", 5),
+                "interval_max": ("100", "interval_max", 100),
+                "ar_coeff": ("0.5", "ar_coeff", 0.5),
+                "ar_noise_sd": ("0.25", "ar_noise_sd", 0.25),
+                "scenario_rows": ("300", "scenario_rows", 300),
+            },
+            "sampler": {
+                "n_draws": ("7", "n_draws", 7),
+                "n_tune": ("9", "n_tune", 9),
+                "n_chains": ("3", "n_chains", 3),
+                "target_accept": ("0.9", "target_accept", 0.9),
+                "max_tree_depth": ("6", "max_tree_depth", 6),
+            },
+            "hazard": {"use_covariates": ("false", "use_covariates", False)},
+            "features": {
+                "window": ("60", "feature_window", 60),
+                "window_end": ("", "feature_window_end", None),  # blank = default
+                "active": ("std, min,q25", "active_features", ("std", "min", "q25")),
+            },
+            "lingam": {
+                "n_bootstrap": ("11", "n_bootstrap", 11),
+                "ica_tol": ("1e-3", "ica_tol", 1e-3),
+                "ica_max_iter": ("50", "ica_max_iter", 50),
+            },
+        }
+        assert {s: set(keys) for s, keys in values.items()} == _SECTION_KEYS
+        path = tmp_path / "all.ini"
+        path.write_text(
+            "".join(
+                f"[{section}]\n" + "".join(f"{k} = {v[0]}\n" for k, v in keys.items())
+                for section, keys in values.items()
+            )
+        )
+        cfg = load_config(path)
+        for section, keys in values.items():
+            owner = cfg.synth if section == "synth" else cfg
+            for key, (_, name, expected) in keys.items():
+                assert getattr(owner, name) == expected, (section, key)
+                assert type(getattr(owner, name)) is type(expected), (section, key)
+        assert cfg.synth.seed == 5
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("no_such_config.ini")
@@ -78,7 +151,10 @@ class TestConfigLoading:
     def test_bad_value(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sampler]\nn_draws = many\n")
-        with pytest.raises(ConfigError, match="bad value"):
+        with pytest.raises(ConfigError, match=r"bad value for \[sampler\] n_draws"):
+            load_config(bad)
+        bad.write_text("[features]\nwindow_end = soon\n")
+        with pytest.raises(ConfigError, match=r"bad value for \[features\] window_end"):
             load_config(bad)
 
     def test_cli_overrides_take_precedence(self, tmp_path):
@@ -128,6 +204,17 @@ class TestFitCommand:
         result = CliRunner().invoke(main, ["--config", str(config_path), "fit"])
         assert result.exit_code == 2
         assert "[fit]" in result.output
+
+    def test_series_not_read_without_covariates(self, tmp_path):
+        config_path, out = _write_config(
+            tmp_path, out_name="nocov", hazard=["use_covariates = false"]
+        )
+        runner = CliRunner()
+        assert runner.invoke(main, ["--config", str(config_path), "synth"]).exit_code == 0
+        (out / "timeseries.csv").unlink()
+        result = runner.invoke(main, ["--config", str(config_path), "fit"])
+        assert result.exit_code in (0, 3), result.output
+        assert (out / "u_estimates.csv").exists()
 
     def test_seeded_fit_reproducible(self, tmp_path):
         config_path, out = _write_config(tmp_path, out_name="f1")
@@ -198,7 +285,8 @@ class TestPipelineCommand:
 class TestDiscoverSkipsSmallGroups:
     def test_small_group_recorded_not_fatal(self, tmp_path):
         # 22 active features need 24 members; 25 pumps split two ways cannot
-        # reach that in both groups, so at least one group is skipped
+        # reach that in both groups, so at least one group is skipped (at
+        # seed 11 the split is 11 / 14 and both are)
         out = tmp_path / "out"
         config_path = tmp_path / "c.ini"
         config_path.write_text(
@@ -210,8 +298,41 @@ class TestDiscoverSkipsSmallGroups:
         result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
         assert result.exit_code in (0, 3), result.output
         report = json.loads((out / "report.json").read_text())
-        assert report["skipped_groups"]
+        assert report["skipped_groups"] == ["negative", "positive"]
         assert report["gap_ratio"] is None
+        # discovery produced nothing, which is flagged with exit code 3
+        flag = "no group analysed: skipped negative, positive"
+        assert result.exit_code == 3 and flag in result.output
+        alone = runner.invoke(main, ["--config", str(config_path), "discover"])
+        assert alone.exit_code == 3, alone.output
+        assert flag in alone.output
+        assert not list(out.glob("effects_*.csv"))
+
+
+class TestCollinearDefaultFeatures:
+    def test_default_features_discover_at_120_pumps(self, tmp_path):
+        # iqr and trend_intercept are exact combinations of earlier default
+        # features; they are dropped so the covariance is not singular
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(
+            f"[pipeline]\nout_dir = {out}\nseed = 11\nthreads = 1\n"
+            "[synth]\nn_pumps = 120\n"
+            "[sampler]\nn_draws = 50\nn_tune = 100\nn_chains = 2\n"
+            "[lingam]\nn_bootstrap = 10\n"
+        )
+        with pytest.warns(UserWarning, match="dependent columns.*: iqr, trend_intercept"):
+            result = CliRunner().invoke(
+                main, ["--config", str(config_path), "pipeline", "--no-cache"]
+            )
+        assert result.exit_code in (0, 3), result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["effects"]
+        analysed = set(report["effects"]) - set(report["skipped_groups"])
+        for group in analysed:
+            order = json.loads((out / f"order_{group}.json").read_text())
+            assert "iqr" not in order and "trend_intercept" not in order
+            assert {"q25", "q75", "mean", "trend_slope_90d", "u"} <= set(order)
 
 
 class TestHelp:
