@@ -5,7 +5,6 @@ from .data import (
     CovariateSeries,
     Dataset,
     InspectionRecord,
-    TransitionObservation,
     build_transitions,
     ingest_inspections,
     ingest_timeseries,
@@ -61,7 +60,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovariateSeries", "Dataset", "InspectionRecord", "TransitionObservation",
+    "CovariateSeries", "Dataset", "InspectionRecord",
     "build_transitions", "ingest_inspections", "ingest_timeseries",
     "RandomEffectEstimate", "ess", "extract_random_effects", "hdi", "split_rhat",
     "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix", "FeatureVector",

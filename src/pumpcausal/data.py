@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -71,84 +71,84 @@ class CovariateSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionObservation:
-    """One inspection interval that started below the absorbing state."""
-
-    pump_index: int
-    state_index: int  # 1-based state at interval start, in 1..K-1
-    delta_t: float
-    y: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.delta_t <= 0:
-            raise DataError(f"non-positive interval length {self.delta_t}")
-        if self.y not in (0, 1):
-            raise DataError(f"transition indicator {self.y} not in {{0, 1}}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransitionObservation):
-            return NotImplemented
-        return (
-            self.pump_index == other.pump_index
-            and self.state_index == other.state_index
-            and self.delta_t == other.delta_t
-            and self.y == other.y
-            and np.array_equal(self.x, other.x)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Transition observations plus the dimensions the model needs."""
+    """Transition observations as columns, plus the dimensions the model needs.
 
-    observations: tuple[TransitionObservation, ...]
+    Row r is one inspection interval that started below the absorbing state:
+    pump ``pump[r]`` in 0-based state ``k[r]`` for ``dt[r]`` days, with
+    ``y[r] = 1`` when the state increased and interval-mean covariates
+    ``x[r]``.
+    """
+
+    y: np.ndarray
+    dt: np.ndarray
+    k: np.ndarray  # 0-based start state, in 0..K-2
+    pump: np.ndarray
+    x: np.ndarray  # (n, n_covariates)
     n_pumps: int
     n_states: int
-    n_covariates: int
 
     def __post_init__(self):
-        for obs in self.observations:
-            if not 0 <= obs.pump_index < self.n_pumps:
-                raise DataError(f"pump index {obs.pump_index} out of range")
-            if not 1 <= obs.state_index < self.n_states:
-                raise DataError(
-                    f"state index {obs.state_index} outside 1..{self.n_states - 1}"
-                )
-            if len(obs.x) != self.n_covariates:
-                raise DataError(
-                    f"covariate length {len(obs.x)} != {self.n_covariates}"
-                )
+        y = np.asarray(self.y)
+        k, pump = (np.asarray(c, dtype=np.intp) for c in (self.k, self.pump))
+        dt = np.asarray(self.dt, dtype=float)
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 2:
+            raise DataError(f"covariates must be an (n, p) array, got shape {x.shape}")
+        if any(c.shape != (len(x),) for c in (y, dt, k, pump)):
+            raise DataError("transition columns differ in length")
+        checks = (
+            ((pump < 0) | (pump >= self.n_pumps), pump, "pump index {} out of range"),
+            ((k < 0) | (k >= self.n_states - 1), k + 1,
+             f"state index {{}} outside 1..{self.n_states - 1}"),
+            (dt <= 0, dt, "non-positive interval length {}"),
+            ((y != 0) & (y != 1), y, "transition indicator {} not in {{0, 1}}"),
+        )
+        for bad, values, message in checks:
+            if bad.any():
+                raise DataError(message.format(values[bad][0]))
+        y = y.astype(np.intp)
+        for name, column in zip(("y", "dt", "k", "pump", "x"), (y, dt, k, pump, x)):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[tuple[int, int, float, int, Sequence[float]]],
+        n_pumps: int,
+        n_states: int,
+        n_covariates: int,
+    ) -> "Dataset":
+        """Build from (pump_index, state_index, delta_t, y, x) rows, with
+        ``state_index`` 1-based as in the inspection files."""
+        pump, state, dt, y, x = zip(*rows) if rows else ((),) * 5
+        widths = {len(v) for v in x} - {n_covariates}
+        if widths:
+            raise DataError(f"covariate length {widths.pop()} != {n_covariates}")
+        return cls(
+            y=y,
+            dt=dt,
+            k=np.asarray(state, dtype=np.intp) - 1,
+            pump=pump,
+            x=np.array(x, dtype=float).reshape(len(rows), n_covariates),
+            n_pumps=n_pumps,
+            n_states=n_states,
+        )
+
+    @property
+    def n_covariates(self) -> int:
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.n_pumps == other.n_pumps
-            and self.n_states == other.n_states
-            and self.n_covariates == other.n_covariates
-            and self.observations == other.observations
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
         )
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Column arrays (y, delta_t, state_idx0, pump_idx, X) for vectorized code.
-
-        ``state_idx0`` is 0-based (state_index - 1).
-        """
-        n = len(self.observations)
-        y = np.fromiter((o.y for o in self.observations), float, n)
-        dt = np.fromiter((o.delta_t for o in self.observations), float, n)
-        k = np.fromiter((o.state_index - 1 for o in self.observations), np.intp, n)
-        i = np.fromiter((o.pump_index for o in self.observations), np.intp, n)
-        if n:
-            x = np.stack([o.x for o in self.observations])
-        else:
-            x = np.empty((0, self.n_covariates))
-        return y, dt, k, i, x
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,15 +277,14 @@ def build_transitions(
     n_covariates = p_counts.pop() if p_counts else 0
 
     pump_ids = tuple(by_pump)
-    observations: list[TransitionObservation] = []
+    rows = []
     dropped_decrease = 0
     dropped_absorbing = 0
     for pump_index, pump_id in enumerate(pump_ids):
         group = by_pump[pump_id]
-        if n_covariates:
-            if pump_id not in series_by_pump:
-                raise DataError(f"pump {pump_id}: no covariate series")
-            pump_series = series_by_pump[pump_id]
+        pump_series = series_by_pump.get(pump_id, [])
+        if len(pump_series) != n_covariates:
+            raise DataError(f"pump {pump_id}: no covariate series")
         for start, end in zip(group, group[1:]):
             if start.state >= n_states:
                 dropped_absorbing += 1
@@ -293,27 +292,10 @@ def build_transitions(
             if end.state < start.state:
                 dropped_decrease += 1
                 continue
-            if n_covariates:
-                x = np.array(
-                    [s.window(start.day, end.day).mean() for s in pump_series]
-                )
-            else:
-                x = np.empty(0)
-            observations.append(
-                TransitionObservation(
-                    pump_index=pump_index,
-                    state_index=start.state,
-                    delta_t=float(end.day - start.day),
-                    y=int(end.state > start.state),
-                    x=x,
-                )
-            )
-    dataset = Dataset(
-        observations=tuple(observations),
-        n_pumps=len(pump_ids),
-        n_states=n_states,
-        n_covariates=n_covariates,
-    )
+            x = [s.window(start.day, end.day).mean() for s in pump_series]
+            y = int(end.state > start.state)
+            rows.append((pump_index, start.state, float(end.day - start.day), y, x))
+    dataset = Dataset.from_rows(rows, len(pump_ids), n_states, n_covariates)
     return TransitionBuild(dataset, pump_ids, dropped_decrease, dropped_absorbing)
 
 
@@ -328,11 +310,9 @@ def write_transitions_csv(dataset: Dataset, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(transitions_header(dataset.n_covariates))
-        for obs in dataset.observations:
-            writer.writerow(
-                [obs.pump_index, obs.state_index, repr(obs.delta_t), obs.y]
-                + [repr(float(v)) for v in obs.x]
-            )
+        columns = (dataset.pump, dataset.k + 1, dataset.dt, dataset.y, dataset.x)
+        for pump, state, dt, y, x in zip(*(c.tolist() for c in columns)):
+            writer.writerow([pump, state, repr(dt), y] + [repr(v) for v in x])
 
 
 def read_transitions_csv(
@@ -348,25 +328,20 @@ def read_transitions_csv(
         if header is None or header[:4] != transitions_header(0):
             raise DataError(f"{path}: bad transitions header")
         n_covariates = len(header) - 4
-        observations = []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 4 + n_covariates:
                 raise DataError(f"{path} line {line_no}: wrong field count")
             try:
-                observations.append(
-                    TransitionObservation(
-                        pump_index=int(row[0]),
-                        state_index=int(row[1]),
-                        delta_t=float(row[2]),
-                        y=int(row[3]),
-                        x=np.array([float(v) for v in row[4:]]),
-                    )
+                rows.append(
+                    (int(row[0]), int(row[1]), float(row[2]), int(row[3]),
+                     [float(v) for v in row[4:]])
                 )
             except ValueError:
                 raise DataError(f"{path} line {line_no}: malformed row") from None
     if n_pumps is None:
-        n_pumps = max((o.pump_index for o in observations), default=-1) + 1
-    return Dataset(tuple(observations), n_pumps, n_states, n_covariates)
+        n_pumps = max((r[0] for r in rows), default=-1) + 1
+    return Dataset.from_rows(rows, n_pumps, n_states, n_covariates)
 
 
 def write_inspections_csv(records: Iterable[InspectionRecord], path: str | Path) -> None:

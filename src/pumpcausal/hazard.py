@@ -178,15 +178,14 @@ def log_likelihood(params: ModelParams, data: Dataset) -> float:
     the y=1 branch, so values stay finite for lam*dt up to ~700.
     """
     _check_dims(params, data)
-    if not data.observations:
+    if not len(data):
         return 0.0
-    y, dt, k, i, x = data.arrays()
-    eta = params.log_lambda0[k] + params.u_raw[i] * params.sigma_u
+    eta = params.log_lambda0[data.k] + params.u_raw[data.pump] * params.sigma_u
     if data.n_covariates:
-        eta = eta + x @ params.beta
-    lam_dt = np.exp(np.minimum(eta + np.log(dt), MAX_LOG_EXPOSURE))
+        eta = eta + data.x @ params.beta
+    lam_dt = np.exp(np.minimum(eta + np.log(data.dt), MAX_LOG_EXPOSURE))
     log_p = np.log(np.maximum(-np.expm1(-lam_dt), PROB_FLOOR))
-    return float(np.sum(np.where(y == 1, log_p, -lam_dt)))
+    return float(np.sum(np.where(data.y == 1, log_p, -lam_dt)))
 
 
 def log_prior(params: ModelParams, priors: PriorSpec = PriorSpec()) -> float:
@@ -237,15 +236,16 @@ def make_logp_and_grad(
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Build the sampler target: theta -> (log-posterior, gradient).
 
-    Precomputes observation arrays once; each call is a handful of
-    vectorized operations, safe for concurrent invocation.
+    Each call is a handful of vectorized operations over the dataset's
+    columns, safe for concurrent invocation.
     """
     layout = layout or ParamLayout.for_dataset(data)
     if layout.n_states != data.n_states or layout.n_pumps != data.n_pumps:
         raise ModelError("layout does not match dataset")
-    y, dt, k_idx, pump_idx, x = data.arrays()
-    y_is_one = y == 1.0
-    log_dt = np.log(dt) if len(dt) else dt
+    y_is_one = data.y == 1
+    log_dt = np.log(data.dt)
+    k_idx, pump_idx, x = data.k, data.pump, data.x
+    has_rows = len(data) > 0
     has_covariates = layout.n_covariates > 0
     n_states, n_pumps, dim = layout.n_states, layout.n_pumps, layout.dim
     beta_slice, u_slice = layout.beta_slice, layout.u_raw_slice
@@ -268,7 +268,7 @@ def make_logp_and_grad(
         sigma_u = math.exp(zeta)
 
         grad = np.empty(dim)
-        if len(y):
+        if has_rows:
             eta = log_lambda0[k_idx] + u_raw[pump_idx] * sigma_u
             if has_covariates:
                 eta = eta + x @ beta

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +58,7 @@ class StandardizedData:
     mean: np.ndarray
     sd: np.ndarray
     names: tuple[str, ...]
-    dropped: tuple[str, ...] = ()
+    dropped: dict[str, str]  # dropped column name -> reason
 
     @property
     def n(self) -> int:
@@ -102,9 +100,9 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     sd = x.std(axis=0)
     scale_floor = CONSTANT_SD_TOL * np.maximum(1.0, np.abs(mean))
     keep = sd > scale_floor
-    dropped = tuple(str(n) for n, k in zip(names, keep) if not k)
-    if dropped:
-        warnings.warn(f"dropping constant columns: {', '.join(dropped)}")
+    constant = [str(n) for n, k in zip(names, keep) if not k]
+    if constant:
+        warnings.warn(f"dropping constant columns: {', '.join(constant)}")
     if not keep.any():
         raise LingamError("all columns are constant")
     kept = np.flatnonzero(keep)
@@ -122,7 +120,10 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
         mean=mean[kept],
         sd=sd[kept],
         names=tuple(str(names[i]) for i in kept),
-        dropped=dropped + linear,
+        dropped={
+            **dict.fromkeys(constant, "constant"),
+            **dict.fromkeys(linear, "linear combination of earlier columns"),
+        },
     )
 
 
@@ -297,38 +298,34 @@ class BootstrapResult:
     ci_low_raw: np.ndarray
     ci_high_raw: np.ndarray
     sign_stability: np.ndarray
-    n_flagged: int
+    n_flagged: int  # resamples whose fit failed, left out of the intervals
+    n_unconverged: int  # resamples whose FastICA hit the iteration cap
 
 
 def _fit_adjacency(
     x_raw: np.ndarray, config: LingamConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized adjacency plus the column sds that de-standardize it."""
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Standardized adjacency, the column sds that de-standardize it, and
+    whether the ICA converged."""
     z = _standardize_strict(x_raw)
     ica = fast_ica(z, config, rng=rng)
-    return estimate_effects(z, causal_order(ica)), x_raw.std(axis=0)
+    return estimate_effects(z, causal_order(ica)), x_raw.std(axis=0), ica.converged
 
 
 def _one_resample(x: np.ndarray, seed: int, b: int, config: LingamConfig):
-    """One full re-run on a row resample; stream (seed, bootstrap-key, b)."""
+    """One full re-run on a row resample; stream (seed, bootstrap-key, b).
+
+    Returns None when the fit degenerates (constant or collinear columns).
+    """
     rng = rng_mod.stream(seed, rng_mod.KEY_BOOTSTRAP, b)
     rows = rng.integers(0, len(x), size=len(x))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            b_std, sd = _fit_adjacency(x[rows], config, rng)
+            b_std, sd, converged = _fit_adjacency(x[rows], config, rng)
         except (LingamError, np.linalg.LinAlgError):
-            d = x.shape[1]
-            return np.zeros((d, d)), np.zeros((d, d)), True
-    return b_std, b_std * sd[None, :] / sd[:, None], False
-
-
-_BOOTSTRAP_CONTEXT: dict | None = None
-
-
-def _resample_worker(b: int):
-    ctx = _BOOTSTRAP_CONTEXT
-    return _one_resample(ctx["x"], ctx["seed"], b, ctx["config"])
+            return None
+    return b_std, b_std * sd[None, :] / sd[:, None], converged
 
 
 def bootstrap_cis(
@@ -344,38 +341,30 @@ def bootstrap_cis(
     edges absent under a resample's order contribute zero.  Raw-unit
     intervals de-standardize each resample with its own column scales, so
     they reflect scale uncertainty as well.  Resamples where the fit
-    degenerates (constant or collinear columns) contribute a zero matrix
-    and are counted in ``n_flagged``.  Sign stability is the fraction of
-    resamples whose edge sign equals the point estimate's sign.
+    degenerates (constant or collinear columns) are left out of the
+    intervals and the sign stability, and counted in ``n_flagged``; when
+    every resample degenerates this raises.  Sign stability is the fraction
+    of the remaining resamples whose edge sign equals the point estimate's.
 
     Resamples own independent RNG streams, so results are identical whether
     they run sequentially or across worker processes (config.threads).
     """
-    global _BOOTSTRAP_CONTEXT
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < 10:
         raise LingamError(f"bootstrap needs n >= 10 rows, got {n}")
     if point_estimate is None:
-        point_estimate, _ = _fit_adjacency(
+        point_estimate, _, _ = _fit_adjacency(
             x, config, rng_mod.stream(seed, rng_mod.KEY_ICA)
         )
-    n_workers = config.threads if config.threads is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(n_workers, n_resamples))
-    use_fork = n_workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-    if use_fork:
-        _BOOTSTRAP_CONTEXT = {"x": x, "seed": seed, "config": config}
-        try:
-            with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-                results = pool.map(_resample_worker, range(n_resamples), chunksize=16)
-        finally:
-            _BOOTSTRAP_CONTEXT = None
-    else:
-        results = [_one_resample(x, seed, b, config) for b in range(n_resamples)]
-
-    estimates = np.stack([r[0] for r in results])
-    estimates_raw = np.stack([r[1] for r in results])
-    n_flagged = sum(r[2] for r in results)
+    results = rng_mod.map_replicas(
+        lambda b: _one_resample(x, seed, b, config), n_resamples, config.threads
+    )
+    fits = [r for r in results if r is not None]
+    if not fits:
+        raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
+    estimates = np.stack([r[0] for r in fits])
+    estimates_raw = np.stack([r[1] for r in fits])
     sign_stability = (np.sign(estimates) == np.sign(point_estimate)).mean(axis=0)
     return BootstrapResult(
         ci_low=np.percentile(estimates, 2.5, axis=0),
@@ -383,7 +372,8 @@ def bootstrap_cis(
         ci_low_raw=np.percentile(estimates_raw, 2.5, axis=0),
         ci_high_raw=np.percentile(estimates_raw, 97.5, axis=0),
         sign_stability=sign_stability,
-        n_flagged=n_flagged,
+        n_flagged=n_resamples - len(fits),
+        n_unconverged=sum(not r[2] for r in fits),
     )
 
 
@@ -405,7 +395,8 @@ class CausalModel:
     ica_converged: bool
     ica_iterations: int
     n_flagged_resamples: int
-    dropped_columns: tuple[str, ...] = ()
+    n_unconverged_resamples: int
+    dropped_columns: dict[str, str]  # name -> reason, as StandardizedData.dropped
 
     @property
     def target_index(self) -> int:
@@ -506,6 +497,7 @@ def discover(group: GroupDataset, config: LingamConfig = LingamConfig()) -> Caus
         ica_converged=ica.converged,
         ica_iterations=ica.n_iter,
         n_flagged_resamples=boot.n_flagged,
+        n_unconverged_resamples=boot.n_unconverged,
         dropped_columns=std.dropped,
     )
 
@@ -546,3 +538,17 @@ def write_effects_csv(model: CausalModel, path: str | Path) -> None:
                     repr(row["sign_stability"]),
                 ]
             )
+
+
+def write_discovery_json(model: CausalModel, path: str | Path, n_bootstrap: int) -> None:
+    """How the group's discovery went: dropped columns, ICA, bootstrap."""
+    record = {
+        "dropped_columns": model.dropped_columns,
+        "ica": {"iterations": model.ica_iterations, "converged": model.ica_converged},
+        "bootstrap": {
+            "n_resamples": n_bootstrap,
+            "n_flagged": model.n_flagged_resamples,
+            "n_unconverged": model.n_unconverged_resamples,
+        },
+    }
+    Path(path).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -272,20 +270,10 @@ def _init_point(
     )
 
 
+# unstable warmup trajectories may overflow intermediates; non-finite
+# energies are detected and treated as divergences, so keep numpy quiet
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chain(
-    target: TargetFn,
-    dim: int,
-    config: SamplerConfig,
-    chain_index: int,
-    init_center: np.ndarray | None = None,
-):
-    # unstable warmup trajectories may overflow intermediates; non-finite
-    # energies are detected and treated as divergences, so keep numpy quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_chain_inner(target, dim, config, chain_index, init_center)
-
-
-def _run_chain_inner(
     target: TargetFn,
     dim: int,
     config: SamplerConfig,
@@ -387,16 +375,6 @@ def _run_chain_inner(
     }
 
 
-_FORK_CONTEXT: dict | None = None
-
-
-def _chain_worker(chain_index: int):
-    ctx = _FORK_CONTEXT
-    return _run_chain(
-        ctx["target"], ctx["dim"], ctx["config"], chain_index, ctx["init_center"]
-    )
-
-
 def sample(
     logp_and_grad: TargetFn,
     dim: int,
@@ -411,31 +389,15 @@ def sample(
     outputs are identical whether chains run sequentially or in parallel
     worker processes.
     """
-    global _FORK_CONTEXT
     if init_center is not None:
         init_center = np.asarray(init_center, float)
         if init_center.shape != (dim,):
             raise SamplerError(f"init_center must have shape ({dim},)")
-    n_workers = config.threads if config.threads is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(n_workers, config.n_chains))
-    use_fork = n_workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-    if use_fork:
-        _FORK_CONTEXT = {
-            "target": logp_and_grad,
-            "dim": dim,
-            "config": config,
-            "init_center": init_center,
-        }
-        try:
-            with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-                results = pool.map(_chain_worker, range(config.n_chains))
-        finally:
-            _FORK_CONTEXT = None
-    else:
-        results = [
-            _run_chain(logp_and_grad, dim, config, c, init_center)
-            for c in range(config.n_chains)
-        ]
+    results = rng_mod.map_replicas(
+        lambda c: _run_chain(logp_and_grad, dim, config, c, init_center),
+        config.n_chains,
+        config.threads,
+    )
 
     draws = np.stack([r["draws"] for r in results])
     if config.n_draws >= 4:

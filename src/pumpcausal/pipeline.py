@@ -415,6 +415,7 @@ def group_artifact_paths(cfg: PipelineConfig, group: Group) -> dict[str, Path]:
         "order": out / f"order_{group.value}.json",
         "effects": out / f"effects_{group.value}.csv",
         "top_effects": out / f"top_effects_{group.value}.csv",
+        "discovery": out / f"discovery_{group.value}.json",
     }
 
 
@@ -463,6 +464,7 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
             lingam_mod.write_order_json(model, paths["order"])
             lingam_mod.write_effects_csv(model, paths["effects"])
             _write_top_effects(model, paths["top_effects"], cfg.top_k)
+            lingam_mod.write_discovery_json(model, paths["discovery"], cfg.n_bootstrap)
         build_report(cfg, skipped_groups=skipped)
         return _discovery_flags(skipped)
 
@@ -498,6 +500,7 @@ class RunReport:
     effects: dict
     gap_ratio: float | None
     skipped_groups: list[str]
+    discovery: dict
 
 
 def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -> RunReport:
@@ -520,16 +523,21 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
             }
         effects: dict[str, list[dict]] = {}
         max_effect: dict[str, float] = {}
+        discovery: dict[str, dict] = {}
         if skipped_groups is None:
             skipped_groups = []
             for group in (Group.POSITIVE, Group.NEGATIVE):
                 if not group_artifact_paths(cfg, group)["effects"].exists():
                     skipped_groups.append(group.value)
         for group in (Group.POSITIVE, Group.NEGATIVE):
-            path = group_artifact_paths(cfg, group)["effects"]
-            if group.value in skipped_groups or not path.exists():
+            paths = group_artifact_paths(cfg, group)
+            if group.value in skipped_groups or not paths["effects"].exists():
                 continue
-            table = _read_effects_csv(path)
+            table = _read_effects_csv(paths["effects"])
+            if paths["discovery"].exists():
+                discovery[group.value] = json.loads(
+                    paths["discovery"].read_text(encoding="utf-8")
+                )
             effects[group.value] = table[: cfg.top_k]
             max_effect[group.value] = max(
                 (abs(r["effect"]) for r in table), default=0.0
@@ -546,6 +554,7 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
             effects=effects,
             gap_ratio=gap_ratio,
             skipped_groups=sorted(skipped_groups),
+            discovery=discovery,
         )
         cfg.path("report").write_text(
             json.dumps(dataclasses.asdict(report), indent=2) + "\n", encoding="utf-8"
@@ -649,7 +658,8 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
     """Run all stages in order, skipping stages whose cache entry is valid.
 
     Returns the fit stage's diagnostic flags and the discover stage's flag
-    (read from their fresh or cached output).
+    (read from their fresh or cached output).  ``timings.json`` is written
+    on failure too, with the finished stages and ``failed_stage``.
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(cfg) if use_cache else {}
@@ -661,18 +671,23 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
         "group": run_group,
         "discover": run_discover,
     }
-    for stage in STAGES:
-        if stage == "synth" and cfg.source == "files":
-            continue
-        if use_cache and _stage_cached(cfg, manifest, stage):
-            timings[f"{stage}_cached"] = 0.0
-            continue
-        started = time.perf_counter()
-        runners[stage](cfg)
-        timings[stage] = time.perf_counter() - started
-        _record_stage(cfg, manifest, stage)
-    cfg.path("timings").write_text(
-        json.dumps(timings, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        for stage in STAGES:
+            if stage == "synth" and cfg.source == "files":
+                continue
+            if use_cache and _stage_cached(cfg, manifest, stage):
+                timings[f"{stage}_cached"] = 0.0
+                continue
+            started = time.perf_counter()
+            runners[stage](cfg)
+            timings[stage] = time.perf_counter() - started
+            _record_stage(cfg, manifest, stage)
+    except BaseException:
+        timings["failed_stage"] = stage
+        raise
+    finally:
+        cfg.path("timings").write_text(
+            json.dumps(timings, indent=2) + "\n", encoding="utf-8"
+        )
     report = json.loads(cfg.path("report").read_text(encoding="utf-8"))
     return list(report["sampler"].get("flags", [])) + _discovery_flags(report["skipped_groups"])

@@ -21,7 +21,7 @@ from oracles import (
     standard_normal_cdf,
 )
 import pumpcausal.rng as rng_mod
-from pumpcausal.data import Dataset, TransitionObservation
+from pumpcausal.data import Dataset
 from pumpcausal.diagnostics import extract_random_effects
 from pumpcausal.features import FEATURE_NAMES, compute_features
 from pumpcausal.grouping import Group, GroupDataset, assign_groups, build_group_datasets
@@ -64,8 +64,8 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def _random_dataset(rng, n_pumps, n_states=8, p=0):
     n_obs = int(rng.integers(8, 40))
-    observations = tuple(
-        TransitionObservation(
+    rows = [
+        (
             int(rng.integers(0, n_pumps)),
             int(rng.integers(1, n_states)),
             float(rng.uniform(1.0, 60.0)),
@@ -73,8 +73,8 @@ def _random_dataset(rng, n_pumps, n_states=8, p=0):
             rng.normal(size=p),
         )
         for _ in range(n_obs)
-    )
-    return Dataset(observations, n_pumps, n_states, p)
+    ]
+    return Dataset.from_rows(rows, n_pumps, n_states, p)
 
 
 def test_criterion_1_gradient_correctness():

@@ -5,6 +5,7 @@ import pytest
 
 from pumpcausal.data import (
     CovariateSeries,
+    Dataset,
     InspectionRecord,
     build_transitions,
     ingest_inspections,
@@ -88,16 +89,23 @@ def _records(*triples):
     return [InspectionRecord(pid, day, state) for pid, day, state in triples]
 
 
+def _only_row(build):
+    """The build's single transition as (state_index, delta_t, y, x)."""
+    data = build.dataset
+    assert len(data) == 1
+    return int(data.k[0]) + 1, float(data.dt[0]), int(data.y[0]), data.x[0]
+
+
 class TestBuildTransitions:
     def test_no_change_interval(self):
         build = build_transitions(_records(("P", 0, 1), ("P", 90, 1)))
-        (obs,) = build.dataset.observations
-        assert (obs.state_index, obs.delta_t, obs.y) == (1, 90.0, 0)
+        state, dt, y, _ = _only_row(build)
+        assert (state, dt, y) == (1, 90.0, 0)
 
     def test_single_step(self):
         build = build_transitions(_records(("P", 0, 1), ("P", 90, 2)))
-        (obs,) = build.dataset.observations
-        assert (obs.state_index, obs.delta_t, obs.y) == (1, 90.0, 1)
+        state, dt, y, _ = _only_row(build)
+        assert (state, dt, y) == (1, 90.0, 1)
 
     def test_absorbing_state_produces_nothing(self):
         build = build_transitions(_records(("P", 0, 8), ("P", 90, 8)))
@@ -106,8 +114,8 @@ class TestBuildTransitions:
 
     def test_multi_step_jump_counts_as_transition(self):
         build = build_transitions(_records(("P", 0, 2), ("P", 60, 5)))
-        (obs,) = build.dataset.observations
-        assert (obs.state_index, obs.y) == (2, 1)
+        state, _, y, _ = _only_row(build)
+        assert (state, y) == (2, 1)
 
     def test_state_decrease_dropped_and_counted(self):
         build = build_transitions(
@@ -119,9 +127,9 @@ class TestBuildTransitions:
     def test_interval_covariate_is_mean_over_half_open_window(self):
         series = [CovariateSeries("P", 0, np.arange(10.0))]
         build = build_transitions(_records(("P", 0, 1), ("P", 4, 1)), series)
-        (obs,) = build.dataset.observations
+        *_, x = _only_row(build)
         # days 0,1,2,3 -> mean 1.5
-        np.testing.assert_allclose(obs.x, [1.5])
+        np.testing.assert_allclose(x, [1.5])
 
     def test_missing_covariate_coverage(self):
         series = [CovariateSeries("P", 0, np.arange(3.0))]
@@ -143,6 +151,35 @@ class TestBuildTransitions:
         assert len(build.dataset) + build.dropped == inspections_minus_one
         assert build.dropped_decrease == 1  # A: 2 -> 1
         assert build.dropped_absorbing == 2  # A day 30, B day 15 start at 8
+
+
+_GOOD_COLUMNS = {
+    "y": [0, 1], "dt": [30.0, 45.0], "k": [0, 6], "pump": [0, 1], "x": np.zeros((2, 1)),
+}
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("pump", [0, 2], "pump index 2 out of range"),
+            ("pump", [-1, 1], "pump index -1 out of range"),
+            ("k", [-1, 0], r"state index 0 outside 1\.\.7"),
+            ("k", [0, 7], r"state index 8 outside 1\.\.7"),
+            ("dt", [30.0, 0.0], "non-positive interval length 0.0"),
+            ("y", [0, 2], r"transition indicator 2 not in \{0, 1\}"),
+            ("dt", [30.0], "differ in length"),
+            ("x", np.zeros(2), "covariates must be an"),
+        ],
+    )
+    def test_bad_column_rejected(self, column, value, message):
+        Dataset(**_GOOD_COLUMNS, n_pumps=2, n_states=8)
+        with pytest.raises(DataError, match=message):
+            Dataset(**{**_GOOD_COLUMNS, column: value}, n_pumps=2, n_states=8)
+
+    def test_row_covariate_width_checked(self):
+        with pytest.raises(DataError, match="covariate length 2 != 1"):
+            Dataset.from_rows([(0, 1, 30.0, 0, [1.0, 2.0])], 1, 8, 1)
 
 
 class TestRoundTrip:

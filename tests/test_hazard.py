@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import finite_difference_gradient
-from pumpcausal.data import Dataset, TransitionObservation
+from pumpcausal.data import Dataset
 from pumpcausal.errors import ModelError
 from pumpcausal.hazard import (
     ModelParams,
@@ -24,11 +24,11 @@ from pumpcausal.hazard import (
 
 
 def _dataset(observations, n_pumps, n_states=8, n_covariates=0):
-    return Dataset(tuple(observations), n_pumps, n_states, n_covariates)
+    return Dataset.from_rows(observations, n_pumps, n_states, n_covariates)
 
 
 def _obs(pump, state, dt, y, x=()):
-    return TransitionObservation(pump, state, dt, y, np.asarray(x, float))
+    return (pump, state, dt, y, np.asarray(x, float))
 
 
 def _params(n_states=8, p=0, n_pumps=1, log_l0=-5.0, sigma_u=1.0):
@@ -180,7 +180,7 @@ class TestUnconstrainedPosterior:
         obs = [_obs(0, 1, 20.0, 1), _obs(1, 2, 40.0, 0), _obs(1, 1, 15.0, 1)]
         data = _dataset(obs, n_pumps=2)
         swapped = _dataset(
-            [_obs(1 - o.pump_index, o.state_index, o.delta_t, o.y) for o in obs],
+            [_obs(1 - pump, state, dt, y) for pump, state, dt, y, _ in obs],
             n_pumps=2,
         )
         layout = ParamLayout.for_dataset(data)

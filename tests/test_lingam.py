@@ -50,7 +50,7 @@ class TestStandardize:
         with pytest.warns(UserWarning, match="constant"):
             std = standardize(x, ["flat", "ramp"])
         assert std.names == ("ramp",)
-        assert std.dropped == ("flat",)
+        assert std.dropped == {"flat": "constant"}
 
     def test_all_constant_errors(self):
         with pytest.raises(LingamError):
@@ -63,7 +63,7 @@ class TestStandardize:
         with pytest.warns(UserWarning, match="linearly dependent columns.*a_minus_b"):
             std = standardize(x, ["a", "b", "a_minus_b", "c"])
         assert std.names == ("a", "b", "c")
-        assert std.dropped == ("a_minus_b",)
+        assert std.dropped == {"a_minus_b": "linear combination of earlier columns"}
         kept = x[:, [0, 1, 3]]
         np.testing.assert_allclose(std.x, (kept - kept.mean(axis=0)) / kept.std(axis=0), atol=1e-12)
 
@@ -72,7 +72,7 @@ class TestStandardize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             std = standardize(x, [f"v{j}" for j in range(20)])
-        assert std.n_vars == 20 and std.dropped == ()
+        assert std.n_vars == 20 and std.dropped == {}
 
 
 class TestFastIca:
@@ -275,6 +275,25 @@ class TestBootstrap:
             contains += boot.ci_low_raw[0, 1] <= 0.0 <= boot.ci_high_raw[0, 1]
         assert contains >= 9
 
+    def test_flagged_resamples_left_out_of_cis(self):
+        # a column that is 1 in two rows is constant in the resamples that
+        # miss both; those resamples fail and must not pull the CI to zero
+        x = self._pair_data(1)
+        rare = np.zeros(len(x))
+        rare[:2] = 1.0
+        boot = bootstrap_cis(
+            np.column_stack([x, rare]), n_resamples=100, seed=1,
+            config=LingamConfig(threads=1),
+        )
+        assert boot.n_flagged > 0
+        assert boot.ci_low_raw[0, 1] > 0.0
+
+    def test_all_resamples_flagged_raises(self):
+        x = self._pair_data(1, n=200)
+        collinear = np.column_stack([x[:, 0], 2.0 * x[:, 0]])
+        with pytest.raises(LingamError, match="all 5 bootstrap resamples"):
+            bootstrap_cis(collinear, n_resamples=5, point_estimate=np.zeros((2, 2)))
+
     def test_needs_ten_rows(self):
         with pytest.raises(LingamError, match="n >= 10"):
             bootstrap_cis(np.zeros((5, 2)), n_resamples=10)
@@ -351,7 +370,7 @@ class TestDiscover:
         )
         with pytest.warns(UserWarning, match="flatline"):
             model = discover(doctored, LingamConfig(n_bootstrap=5, seed=8))
-        assert "flatline" in model.dropped_columns
+        assert model.dropped_columns == {"flatline": "constant"}
         assert "flatline" not in model.variable_names
 
     def test_constant_target_errors(self):

@@ -282,6 +282,24 @@ class TestPipelineCommand:
         assert (out / "report.json").read_bytes() == before
 
 
+class TestPipelineFailure:
+    def test_timings_name_the_failed_stage(self, tmp_path):
+        inspections = tmp_path / "inspections.csv"
+        timeseries = tmp_path / "timeseries.csv"
+        inspections.write_text("pump,day,state\nP1,0,1\n")
+        timeseries.write_text("pump_id,day,value\nP1,0,1.0\n")
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(
+            f"[pipeline]\nout_dir = {out}\nsource = files\n"
+            f"inspections = {inspections}\ntimeseries = {timeseries}\n"
+        )
+        result = CliRunner().invoke(main, ["--config", str(config_path), "pipeline"])
+        assert result.exit_code == 2, result.output
+        assert "[fit]" in result.output
+        assert json.loads((out / "timings.json").read_text()) == {"failed_stage": "fit"}
+
+
 class TestDiscoverSkipsSmallGroups:
     def test_small_group_recorded_not_fatal(self, tmp_path):
         # 22 active features need 24 members; 25 pumps split two ways cannot
@@ -333,6 +351,15 @@ class TestCollinearDefaultFeatures:
             order = json.loads((out / f"order_{group}.json").read_text())
             assert "iqr" not in order and "trend_intercept" not in order
             assert {"q25", "q75", "mean", "trend_slope_90d", "u"} <= set(order)
+        # each group's discovery record names the dropped columns and why
+        assert set(report["discovery"]) == {"positive", "negative"}
+        for group, record in report["discovery"].items():
+            assert record == json.loads((out / f"discovery_{group}.json").read_text())
+            assert record["dropped_columns"] == dict.fromkeys(
+                ("iqr", "trend_intercept"), "linear combination of earlier columns"
+            )
+            assert record["bootstrap"]["n_resamples"] == 10
+            assert record["ica"]["iterations"] >= 1
 
 
 class TestHelp:

@@ -54,7 +54,7 @@ class TestHazardData:
             log_lambda0=(-5.0,) * 8, interval_min=90, interval_max=90,
         )
         synthesis = generate_hazard_data(config)
-        y, dt, _, _, _ = synthesis.dataset.arrays()
+        y = synthesis.dataset.y
         prob = -math.expm1(-math.exp(-5.0) * 90.0)
         n = len(y)
         sd = math.sqrt(prob * (1 - prob) / n)
@@ -63,8 +63,7 @@ class TestHazardData:
     def test_vanishing_hazard_no_transitions(self):
         config = SynthConfig(seed=2, n_pumps=20, log_lambda0=(-20.0,) * 8)
         synthesis = generate_hazard_data(config)
-        y, _, _, _, _ = synthesis.dataset.arrays()
-        assert y.sum() == 0
+        assert synthesis.dataset.y.sum() == 0
 
     def test_states_capped_and_consistent(self):
         config = SynthConfig(seed=3, n_pumps=30, log_lambda0=(-3.0,) * 8)
