@@ -35,6 +35,9 @@ COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
 # norm below DEPENDENT_TOL times its own
 DEPENDENT_TOL = 1e-6
 TARGET_NAME = "u"
+# bootstrap resamples run in blocks of about this many stacked data elements
+# (resamples x rows x columns); the size depends on the data shape only
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -127,12 +130,14 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     )
 
 
-def _standardize_strict(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    if np.any(sd <= CONSTANT_SD_TOL * np.maximum(1.0, np.abs(mean))):
-        raise LingamError("constant column in resample")
-    return (x - mean) / sd
+def _standardize_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strict column standardization of a (B, n, d) stack: the z-scores, the
+    (B, d) column sds and a mask of the matrices without a constant column."""
+    mean = x.mean(axis=1, keepdims=True)
+    sd = x.std(axis=1, keepdims=True)
+    ok = ~np.any(sd <= CONSTANT_SD_TOL * np.maximum(1.0, np.abs(mean)), axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (x - mean) / sd, sd[:, 0], ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,21 +150,109 @@ class IcaResult:
     converged: bool
 
 
+def _collinear_pairs(cov: np.ndarray) -> np.ndarray:
+    """Mask of the pairs i < j with |corr| > 1 - COLLINEAR_TOL, over the last
+    two axes of a stack of correlation matrices."""
+    return np.triu(np.abs(cov) > 1.0 - COLLINEAR_TOL, 1)
+
+
 def _check_collinear(z: np.ndarray, names: Sequence[str]) -> None:
-    n, d = z.shape
-    corr = z.T @ z / n
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(corr[i, j]) > 1.0 - COLLINEAR_TOL:
-                raise LingamError(
-                    f"columns '{names[i]}' and '{names[j]}' are collinear "
-                    f"(|corr| = {abs(corr[i, j]):.10f})"
-                )
+    corr = z.T @ z / z.shape[0]
+    pairs = np.argwhere(_collinear_pairs(corr))
+    if len(pairs):
+        i, j = pairs[0]
+        raise LingamError(
+            f"columns '{names[i]}' and '{names[j]}' are collinear "
+            f"(|corr| = {abs(corr[i, j]):.10f})"
+        )
 
 
-def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(w @ w.T)
-    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T @ w
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _stacked(fn, a: np.ndarray):
+    """``fn`` on a stack of square matrices, and a mask of those it succeeded on.
+
+    A LinAlgError from the stacked call is retried one matrix at a time, so
+    only the failing matrices are flagged; in the result they stand replaced
+    by the identity.
+    """
+    ok = np.ones(len(a), dtype=bool)
+    try:
+        return fn(a), ok
+    except np.linalg.LinAlgError:
+        pass
+    for k, m in enumerate(a):
+        try:
+            fn(m)
+        except np.linalg.LinAlgError:
+            ok[k] = False
+    return fn(np.where(ok[:, None, None], a, np.eye(a.shape[-1]))), ok
+
+
+def _whiten_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitened data and whitening matrices of a (B, n, d) stack of
+    standardized matrices, and a mask of those with no collinear pair and a
+    non-singular covariance."""
+    cov = _swap(z) @ z / z.shape[1]
+    (evals, evecs), ok = _stacked(np.linalg.eigh, cov)
+    ok &= ~_collinear_pairs(cov).any(axis=(1, 2))
+    ok &= ~(evals[:, 0] < 1e-12 * evals[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whiten = _swap(evecs / np.sqrt(evals)[:, None, :])
+        # each z @ whiten.T has identity covariance
+        return z @ _swap(whiten), whiten, ok
+
+
+def _sym_decorrelate(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W W^T)^(-1/2) W for each matrix of a stack, with the mask of those
+    whose result is finite."""
+    (evals, evecs), ok = _stacked(np.linalg.eigh, w @ _swap(w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (evecs * (1.0 / np.sqrt(evals))[:, None, :]) @ _swap(evecs) @ w
+    return w, ok & np.isfinite(w).all(axis=(1, 2))
+
+
+def _ica_stack(zw: np.ndarray, starts: np.ndarray, config: LingamConfig):
+    """Symmetric FastICA run in lock-step over a (B, n, d) stack of whitened
+    matrices from (B, d, d) starting matrices.
+
+    Each matrix stops at its own tolerance or at the iteration cap; the
+    active set is compacted whenever it shrinks.  Returns the rotations W,
+    the iteration counts, and the converged and ok masks; a matrix whose
+    decorrelation fails or turns non-finite is not ok.
+    """
+    size, n, d = zw.shape
+    w_out = np.full((size, d, d), np.nan)
+    n_iter = np.full(size, config.ica_max_iter)
+    converged = np.zeros(size, dtype=bool)
+    ok = np.ones(size, dtype=bool)
+    active = np.arange(size)
+    w, fine = _sym_decorrelate(starts)
+    done = np.zeros(size, dtype=bool)
+    it = 0
+    while True:
+        stop = done | ~fine
+        if stop.any():
+            ok[active[~fine]] = False
+            finished = active[done & fine]
+            converged[finished] = True
+            n_iter[finished] = it
+            w_out[finished] = w[done & fine]
+            active, zw, w = active[~stop], zw[~stop], w[~stop]
+        if not len(active) or it == config.ica_max_iter:
+            break
+        it += 1
+        g = np.tanh(zw @ _swap(w))
+        g_prime_mean = (1.0 - g * g).mean(axis=1)
+        w_new, fine = _sym_decorrelate(_swap(g) @ zw / n - g_prime_mean[:, :, None] * w)
+        change = np.max(np.abs(np.abs(np.sum(w_new * w, axis=2)) - 1.0), axis=1)
+        done = change < config.ica_tol
+        w = w_new
+    w_out[active] = w
+    return w_out, n_iter, converged, ok
 
 
 def fast_ica(
@@ -171,7 +264,8 @@ def fast_ica(
 
     Whitens through the covariance eigendecomposition, then iterates the
     tanh update with symmetric decorrelation until the component-wise
-    change is below tolerance or the iteration cap is reached.
+    change is below tolerance or the iteration cap is reached.  This is the
+    bootstrap's stacked kernel on a batch of one.
     """
     if isinstance(data, StandardizedData):
         x = data.x
@@ -183,39 +277,25 @@ def fast_ica(
     if n <= d + 1:
         raise LingamError(f"need more than d+1 = {d + 1} rows, got {n}")
     _check_collinear(x, names)
-
-    cov = x.T @ x / n
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[0] < 1e-12 * evals[-1]:
+    zw, whiten, ok = _whiten_stack(x[None])
+    if not ok[0]:
         raise LingamError("singular covariance matrix (collinear column set)")
-    whiten = (evecs / np.sqrt(evals)).T  # z = x @ whiten.T has identity covariance
-    z = x @ whiten.T
 
     if rng is None:
         rng = rng_mod.stream(config.seed, rng_mod.KEY_ICA)
-    w = _sym_decorrelate(rng.standard_normal((d, d)))
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, config.ica_max_iter + 1):
-        sources = z @ w.T
-        g = np.tanh(sources)
-        g_prime_mean = (1.0 - g * g).mean(axis=0)
-        w_new = _sym_decorrelate((g.T @ z) / n - g_prime_mean[:, None] * w)
-        delta = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
-        w = w_new
-        if delta < config.ica_tol:
-            converged = True
-            break
-    if not converged:
+    w, n_iter, converged, ok = _ica_stack(zw, rng.standard_normal((1, d, d)), config)
+    if not ok[0]:
+        raise LingamError("FastICA diverged (non-finite demixing matrix)")
+    if not converged[0]:
         warnings.warn(
             f"FastICA did not converge in {config.ica_max_iter} iterations"
         )
-    demixing = w @ whiten
+    demixing = w[0] @ whiten[0]
     return IcaResult(
         mixing=np.linalg.inv(demixing),
         demixing=demixing,
-        n_iter=n_iter,
-        converged=converged,
+        n_iter=int(n_iter[0]),
+        converged=bool(converged[0]),
     )
 
 
@@ -245,17 +325,33 @@ def causal_order(ica: IcaResult) -> tuple[int, ...]:
         raise LingamError("zero diagonal after ICA row matching")
     b0 = np.eye(d) - w_matched / diag[:, None]
 
-    remaining = list(range(d))
-    order: list[int] = []
-    while remaining:
-        scores = []
-        for i in remaining:
-            others = [j for j in remaining if j != i]
-            scores.append(float(np.sum(b0[i, others] ** 2)) if others else 0.0)
-        best = remaining[int(np.argmin(scores))]
+    incoming = b0**2
+    np.fill_diagonal(incoming, 0.0)
+    remaining = np.ones(d, dtype=bool)
+    order = []
+    for _ in range(d):
+        scores = np.where(remaining, incoming, 0.0).sum(axis=1)
+        best = int(np.argmin(np.where(remaining, scores, np.inf)))
         order.append(best)
-        remaining.remove(best)
+        remaining[best] = False
     return tuple(order)
+
+
+def _effects_lstsq(x: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Per-child minimum-norm least squares, warning on rank deficiency."""
+    d = x.shape[1]
+    b = np.zeros((d, d))
+    for pos in range(1, d):
+        child = order[pos]
+        parents = list(order[:pos])
+        coef, _, rank, _ = np.linalg.lstsq(x[:, parents], x[:, child], rcond=None)
+        if rank < len(parents):
+            warnings.warn(
+                f"rank-deficient predecessor block for variable {child}; "
+                "minimum-norm solution used"
+            )
+        b[parents, child] = coef
+    return b
 
 
 def estimate_effects(
@@ -265,27 +361,28 @@ def estimate_effects(
 
     Returns the adjacency with exact structural zeros: entry (i, j) is the
     coefficient of variable i in the regression of variable j, nonzero only
-    when i precedes j in ``order``.
+    when i precedes j in ``order``.  One QR factorization serves every
+    regression: with x[:, order] = QR and R = diag(r) U, the coefficients
+    in order coordinates are I - U^-1.  A diagonal entry of R at lstsq's
+    rank threshold falls back to per-child minimum-norm least squares.
     """
     x = data.x if isinstance(data, StandardizedData) else np.asarray(data, float)
     n, d = x.shape
     if sorted(order) != list(range(d)):
         raise LingamError("order is not a permutation of the variables")
+    if d > n:
+        raise LingamError(
+            f"variable {order[n]} has {n} predecessors but only {n} rows"
+        )
+    order = list(order)
+    r = np.linalg.qr(x[:, order], mode="r")
+    diag = np.abs(np.diag(r))
+    if np.any(diag <= np.finfo(float).eps * max(n, d) * diag.max()):
+        return _effects_lstsq(x, order)
+    unit = r / np.diag(r)[:, None]
+    b_ordered = np.triu(np.eye(d) - np.linalg.inv(unit), 1)
     b = np.zeros((d, d))
-    for pos in range(1, d):
-        child = order[pos]
-        parents = list(order[:pos])
-        if len(parents) >= n:
-            raise LingamError(
-                f"variable {child} has {len(parents)} predecessors but only {n} rows"
-            )
-        coef, _, rank, _ = np.linalg.lstsq(x[:, parents], x[:, child], rcond=None)
-        if rank < len(parents):
-            warnings.warn(
-                f"rank-deficient predecessor block for variable {child}; "
-                "minimum-norm solution used"
-            )
-        b[parents, child] = coef
+    b[np.ix_(order, order)] = b_ordered
     return b
 
 
@@ -302,30 +399,44 @@ class BootstrapResult:
     n_unconverged: int  # resamples whose FastICA hit the iteration cap
 
 
-def _fit_adjacency(
-    x_raw: np.ndarray, config: LingamConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Standardized adjacency, the column sds that de-standardize it, and
-    whether the ICA converged."""
-    z = _standardize_strict(x_raw)
-    ica = fast_ica(z, config, rng=rng)
-    return estimate_effects(z, causal_order(ica)), x_raw.std(axis=0), ica.converged
+def _fit_block(
+    x: np.ndarray, seed: int, resamples: range, config: LingamConfig
+) -> list[tuple[np.ndarray, np.ndarray, bool] | None]:
+    """Full re-runs on a block of row resamples, FastICA in lock-step.
 
-
-def _one_resample(x: np.ndarray, seed: int, b: int, config: LingamConfig):
-    """One full re-run on a row resample; stream (seed, bootstrap-key, b).
-
-    Returns None when the fit degenerates (constant or collinear columns).
+    Resample b owns the stream (seed, bootstrap-key, b) and draws its rows,
+    then its ICA start.  Each fit is the standardized adjacency, the same in
+    raw units, and whether its ICA converged; None when the fit degenerates
+    (constant or collinear columns, failed or non-finite decomposition).
     """
-    rng = rng_mod.stream(seed, rng_mod.KEY_BOOTSTRAP, b)
-    rows = rng.integers(0, len(x), size=len(x))
+    n, d = x.shape
+    rows = np.empty((len(resamples), n), dtype=np.intp)
+    starts = np.empty((len(resamples), d, d))
+    for k, b in enumerate(resamples):
+        rng = rng_mod.stream(seed, rng_mod.KEY_BOOTSTRAP, b)
+        rows[k] = rng.integers(0, n, size=n)
+        starts[k] = rng.standard_normal((d, d))
+    z, sd, ok = _standardize_stack(x[rows])
+    live = np.flatnonzero(ok) if n > d + 1 else np.empty(0, dtype=np.intp)
+    zw, whiten, ok = _whiten_stack(z[live])
+    live, zw, whiten = live[ok], zw[ok], whiten[ok]
+    w, n_iter, converged, ok = _ica_stack(zw, starts[live], config)
+    live, n_iter, converged = live[ok], n_iter[ok], converged[ok]
+    demixing = w[ok] @ whiten[ok]
+    mixing, ok = _stacked(np.linalg.inv, demixing)
+
+    fits: list = [None] * len(resamples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            b_std, sd, converged = _fit_adjacency(x[rows], config, rng)
-        except (LingamError, np.linalg.LinAlgError):
-            return None
-    return b_std, b_std * sd[None, :] / sd[:, None], converged
+        for k in np.flatnonzero(ok):
+            ica = IcaResult(mixing[k], demixing[k], int(n_iter[k]), bool(converged[k]))
+            b = live[k]
+            try:
+                b_std = estimate_effects(z[b], causal_order(ica))
+            except (LingamError, np.linalg.LinAlgError):
+                continue
+            fits[b] = (b_std, b_std * sd[b][None, :] / sd[b][:, None], ica.converged)
+    return fits
 
 
 def bootstrap_cis(
@@ -346,21 +457,30 @@ def bootstrap_cis(
     every resample degenerates this raises.  Sign stability is the fraction
     of the remaining resamples whose edge sign equals the point estimate's.
 
-    Resamples own independent RNG streams, so results are identical whether
-    they run sequentially or across worker processes (config.threads).
+    Resamples run in blocks of consecutive indices, FastICA in lock-step
+    within a block; blocks run sequentially or across worker processes
+    (config.threads).  Each resample owns an independent RNG stream and
+    block boundaries depend on the data shape only, so results do not
+    depend on the thread count.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < 10:
         raise LingamError(f"bootstrap needs n >= 10 rows, got {n}")
+    if n_resamples < 1:
+        raise LingamError(f"bootstrap needs n_resamples >= 1, got {n_resamples}")
     if point_estimate is None:
-        point_estimate, _, _ = _fit_adjacency(
-            x, config, rng_mod.stream(seed, rng_mod.KEY_ICA)
-        )
-    results = rng_mod.map_replicas(
-        lambda b: _one_resample(x, seed, b, config), n_resamples, config.threads
+        z, _, ok = _standardize_stack(x[None])
+        if not ok[0]:
+            raise LingamError("constant column in the bootstrap data")
+        ica = fast_ica(z[0], config, rng=rng_mod.stream(seed, rng_mod.KEY_ICA))
+        point_estimate = estimate_effects(z[0], causal_order(ica))
+    size = max(1, _BLOCK_ELEMENTS // (n * d))
+    blocks = [range(s, min(s + size, n_resamples)) for s in range(0, n_resamples, size)]
+    fitted = rng_mod.map_replicas(
+        lambda k: _fit_block(x, seed, blocks[k], config), len(blocks), config.threads
     )
-    fits = [r for r in results if r is not None]
+    fits = [fit for block in fitted for fit in block if fit is not None]
     if not fits:
         raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
     estimates = np.stack([r[0] for r in fits])

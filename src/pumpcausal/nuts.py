@@ -69,6 +69,8 @@ class PosteriorSamples:
     divergences: np.ndarray  # int per chain, post-warmup
     step_sizes: np.ndarray  # adapted step size per chain
     accept_means: np.ndarray  # mean post-warmup acceptance statistic per chain
+    grad_evals: np.ndarray  # target evaluations per chain, warmup included
+    max_depth_hits: np.ndarray  # post-warmup iterations stopped by max_tree_depth
     rhat: np.ndarray  # split R-hat per parameter
     ess_bulk: np.ndarray  # effective sample size per parameter
 
@@ -281,9 +283,16 @@ def _run_chain(
     init_center: np.ndarray | None,
 ):
     rng = rng_mod.stream(config.seed, rng_mod.KEY_CHAIN, chain_index)
-    theta, logp, grad = _init_point(target, dim, rng, init_center)
+    grad_evals = 0
+
+    def counted(theta):
+        nonlocal grad_evals
+        grad_evals += 1
+        return target(theta)
+
+    theta, logp, grad = _init_point(counted, dim, rng, init_center)
     inv_mass = np.ones(dim)
-    eps = _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng)
+    eps = _find_reasonable_epsilon(counted, theta, logp, grad, inv_mass, rng)
     adapt = _DualAveraging(eps, config.target_accept)
     windows = _mass_windows(config.n_tune)
     window_idx = 0
@@ -292,6 +301,7 @@ def _run_chain(
     n_total = config.n_tune + config.n_draws
     draws = np.empty((config.n_draws, dim))
     divergences = 0
+    max_depth_hits = 0
     accept_accum = 0.0
 
     for it in range(n_total):
@@ -308,7 +318,7 @@ def _run_chain(
                 end = (tree.theta_plus, tree.r_plus, tree.grad_plus, tree.logp_plus)
             else:
                 end = (tree.theta_minus, tree.r_minus, tree.grad_minus, tree.logp_minus)
-            sub = _build_tree(target, end, depth, v, eps, inv_mass, energy0, rng)
+            sub = _build_tree(counted, end, depth, v, eps, inv_mass, energy0, rng)
             tree.alpha_sum += sub.alpha_sum
             tree.n_alpha += sub.n_alpha
             tree.divergent |= sub.divergent
@@ -357,7 +367,7 @@ def _run_chain(
                     window_draws = []
                     window_idx += 1
                     eps = _find_reasonable_epsilon(
-                        target, theta, logp, grad, inv_mass, rng
+                        counted, theta, logp, grad, inv_mass, rng
                     )
                     adapt = _DualAveraging(eps, config.target_accept)
             if it == config.n_tune - 1:
@@ -365,6 +375,7 @@ def _run_chain(
         else:
             draws[it - config.n_tune] = theta
             divergences += tree.divergent
+            max_depth_hits += depth == config.max_tree_depth
             accept_accum += accept_stat
 
     return {
@@ -372,6 +383,8 @@ def _run_chain(
         "divergences": divergences,
         "step_size": eps,
         "accept_mean": accept_accum / config.n_draws,
+        "grad_evals": grad_evals,
+        "max_depth_hits": max_depth_hits,
     }
 
 
@@ -413,6 +426,8 @@ def sample(
         divergences=np.array([r["divergences"] for r in results]),
         step_sizes=np.array([r["step_size"] for r in results]),
         accept_means=np.array([r["accept_mean"] for r in results]),
+        grad_evals=np.array([r["grad_evals"] for r in results]),
+        max_depth_hits=np.array([r["max_depth_hits"] for r in results]),
         rhat=rhat,
         ess_bulk=ess_bulk,
     )
@@ -433,19 +448,29 @@ def write_draws_csv(
                 )
 
 
+def _extreme(values: np.ndarray, reduce) -> float | None:
+    """``reduce`` over a diagnostic's values; None where none was computed."""
+    return None if np.isnan(values).all() else float(reduce(values))
+
+
 def diagnostic_flags(samples: PosteriorSamples, ess_per_chain: float = 400.0) -> list[str]:
     """Soft convergence flags: reported, never a hard failure."""
     flags = []
-    max_rhat = float(np.nanmax(samples.rhat)) if samples.dim else 1.0
-    if max_rhat >= 1.01:
-        flags.append(f"max split R-hat {max_rhat:.4f} >= 1.01")
-    min_ess = float(np.nanmin(samples.ess_bulk)) if samples.dim else math.inf
-    threshold = ess_per_chain * samples.n_chains
-    if min_ess < threshold:
-        flags.append(
-            f"min ESS {min_ess:.0f} below {ess_per_chain:.0f} per chain "
-            f"({threshold:.0f} total)"
-        )
+    if samples.dim:
+        max_rhat = _extreme(samples.rhat, np.nanmax)
+        if max_rhat is None:
+            flags.append("R-hat not computed (fewer than 4 draws per chain)")
+        elif max_rhat >= 1.01:
+            flags.append(f"max split R-hat {max_rhat:.4f} >= 1.01")
+        min_ess = _extreme(samples.ess_bulk, np.nanmin)
+        threshold = ess_per_chain * samples.n_chains
+        if min_ess is None:
+            flags.append("ESS not computed (fewer than 8 draws per chain)")
+        elif min_ess < threshold:
+            flags.append(
+                f"min ESS {min_ess:.0f} below {ess_per_chain:.0f} per chain "
+                f"({threshold:.0f} total)"
+            )
     total_div = int(samples.divergences.sum())
     if total_div > 0:
         flags.append(f"{total_div} divergent transitions")
@@ -453,21 +478,26 @@ def diagnostic_flags(samples: PosteriorSamples, ess_per_chain: float = 400.0) ->
 
 
 def write_diagnostics_json(
-    samples: PosteriorSamples, names: Sequence[str], path: str | Path
+    samples: PosteriorSamples,
+    names: Sequence[str],
+    path: str | Path,
+    data: dict | None = None,
 ) -> None:
+    """Sampler summary, per-parameter and per-chain diagnostics, and the
+    optional ``data`` record; diagnostics that were not computed are null."""
     if len(names) != samples.dim:
         raise SamplerError("name count does not match draw dimension")
     payload = {
         "summary": {
-            "max_rhat": float(np.nanmax(samples.rhat)),
-            "min_ess_bulk": float(np.nanmin(samples.ess_bulk)),
+            "max_rhat": _extreme(samples.rhat, np.nanmax),
+            "min_ess_bulk": _extreme(samples.ess_bulk, np.nanmin),
             "total_divergences": int(samples.divergences.sum()),
             "flags": diagnostic_flags(samples),
         },
         "parameters": {
             name: {
-                "rhat": float(samples.rhat[j]),
-                "ess_bulk": float(samples.ess_bulk[j]),
+                "rhat": _extreme(samples.rhat[j], float),
+                "ess_bulk": _extreme(samples.ess_bulk[j], float),
             }
             for j, name in enumerate(names)
         },
@@ -475,8 +505,13 @@ def write_diagnostics_json(
             {
                 "divergences": int(samples.divergences[c]),
                 "step_size": float(samples.step_sizes[c]),
+                "accept_mean": float(samples.accept_means[c]),
+                "n_grad_evals": int(samples.grad_evals[c]),
+                "max_tree_depth_hits": int(samples.max_depth_hits[c]),
             }
             for c in range(samples.n_chains)
         ],
     }
+    if data is not None:
+        payload["data"] = data
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

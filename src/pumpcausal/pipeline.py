@@ -263,7 +263,13 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         )
         names = layout.names()
         write_draws_csv(samples, names, cfg.path("draws"))
-        write_diagnostics_json(samples, names, cfg.path("diagnostics"))
+        data_record = {
+            "n_records": len(records),
+            "n_transitions": len(build.dataset),
+            "dropped_decrease": build.dropped_decrease,
+            "dropped_absorbing": build.dropped_absorbing,
+        }
+        write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
         estimates = extract_random_effects(samples, layout)
         _write_u_estimates(estimates, build.pump_ids, cfg.path("u_estimates"))
         return diagnostic_flags(samples)

@@ -10,8 +10,9 @@ platforms and independent of thread or process scheduling:
     ICA init          stream(seed, KEY_ICA)
     bootstrap b       stream(seed, KEY_BOOTSTRAP, b)
 
-Replicas that own such streams (chains, bootstrap resamples) run through
-``map_replicas``, serially or in worker processes, with the same results.
+Replicas that own such streams (chains, blocks of bootstrap resamples) run
+through ``map_replicas``, serially or in worker processes, with the same
+results.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written with plain Python loops and the standard library
-(or raw normal equations) so it shares no code path with the package.
+(or raw normal equations and per-matrix numpy calls) so it shares no code
+path with the package; the LiNGAM bootstrap oracle takes only the package's
+random streams, so that its resamples draw the same rows and starts.
 """
 
 from __future__ import annotations
@@ -113,3 +115,126 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
 
 def standard_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# FastICA that has not converged by its iteration cap amplifies rounding, so
+# the whitening and the decorrelation round exactly as the package's do
+def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
+    evals, evecs = np.linalg.eigh(w @ w.T)
+    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T @ w
+
+
+def lingam_order_loop(demixing: np.ndarray) -> tuple[int, ...]:
+    """LiNGAM causal order read off a demixing matrix with plain loops.
+
+    Rows are matched to variables by maximum |W| assignment, sign-normalised
+    and scaled to unit diagonal; the order then repeatedly takes the
+    remaining variable with the smallest sum of squared incoming
+    coefficients from the remaining set, the lower index on ties.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    d = len(demixing)
+    rows, cols = linear_sum_assignment(-np.abs(demixing))
+    matched = np.empty((d, d))
+    for r, c in zip(rows, cols):
+        if abs(demixing[r, c]) < 1e-12:
+            raise ValueError("zero diagonal after row matching")
+        matched[c] = demixing[r] / demixing[r, c]
+    b0 = np.eye(d) - matched
+    remaining = list(range(d))
+    order = []
+    while remaining:
+        scores = [sum(b0[i, j] ** 2 for j in remaining if j != i) for i in remaining]
+        best = remaining[scores.index(min(scores))]
+        order.append(best)
+        remaining.remove(best)
+    return tuple(order)
+
+
+def _lingam_fit_serial(x: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int):
+    """One resample's LiNGAM fit, or None where it degenerates.
+
+    Standardize (constant column: None), check pairwise collinearity and a
+    singular covariance, whiten, run 2-d symmetric FastICA with the tanh
+    update from a normal start, read the order, and regress each variable
+    on its predecessors by lstsq.  Returns the standardized adjacency, the
+    raw-unit adjacency and the convergence flag.
+    """
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0)
+    if any(sd[j] <= 1e-12 * max(1.0, abs(mean[j])) for j in range(d)) or n <= d + 1:
+        return None
+    z = (x - mean) / sd
+    cov = z.T @ z / n
+    for i in range(d):
+        for j in range(i + 1, d):
+            if abs(cov[i, j]) > 1.0 - 1e-8:
+                return None
+    try:
+        evals, evecs = np.linalg.eigh(cov)
+        if evals[0] < 1e-12 * evals[-1]:
+            return None
+        whiten = (evecs / np.sqrt(evals)).T
+        white = z @ whiten.T
+        w = _symmetric_decorrelation(rng.standard_normal((d, d)))
+        converged = False
+        for _ in range(max_iter):
+            g = np.tanh(white @ w.T)
+            w_new = _symmetric_decorrelation(
+                g.T @ white / n - np.diag((1.0 - g**2).mean(axis=0)) @ w
+            )
+            change = max(abs(abs(w_new[i] @ w[i]) - 1.0) for i in range(d))
+            w = w_new
+            if change < tol:
+                converged = True
+                break
+        demixing = w @ whiten
+        if not np.all(np.isfinite(demixing)):
+            return None
+        order = lingam_order_loop(demixing)
+        b = np.zeros((d, d))
+        for pos in range(1, d):
+            parents = list(order[:pos])
+            child = order[pos]
+            b[parents, child] = np.linalg.lstsq(z[:, parents], z[:, child], rcond=None)[0]
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return b, b * sd[None, :] / sd[:, None], converged
+
+
+def lingam_bootstrap_serial(
+    x: np.ndarray,
+    n_resamples: int,
+    seed: int,
+    point_estimate: np.ndarray,
+    tol: float = 1e-4,
+    max_iter: int = 200,
+) -> dict:
+    """Percentile bootstrap of LiNGAM, one resample after another.
+
+    Resample b draws its rows and then its FastICA start from the package's
+    stream (seed, bootstrap-key, b); degenerate resamples are counted and
+    left out.
+    """
+    from pumpcausal.rng import KEY_BOOTSTRAP, stream
+
+    n = len(x)
+    fits = []
+    for b in range(n_resamples):
+        rng = stream(seed, KEY_BOOTSTRAP, b)
+        fit = _lingam_fit_serial(x[rng.integers(0, n, size=n)], rng, tol, max_iter)
+        if fit is not None:
+            fits.append(fit)
+    std = np.stack([f[0] for f in fits])
+    raw = np.stack([f[1] for f in fits])
+    return {
+        "ci_low": np.percentile(std, 2.5, axis=0),
+        "ci_high": np.percentile(std, 97.5, axis=0),
+        "ci_low_raw": np.percentile(raw, 2.5, axis=0),
+        "ci_high_raw": np.percentile(raw, 97.5, axis=0),
+        "sign_stability": (np.sign(std) == np.sign(point_estimate)).mean(axis=0),
+        "n_flagged": n_resamples - len(fits),
+        "n_unconverged": sum(not f[2] for f in fits),
+    }

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import pumpcausal.rng as rng_mod
-from oracles import ols_normal_equations
+from oracles import lingam_bootstrap_serial, lingam_order_loop, ols_normal_equations
 from pumpcausal.errors import InsufficientGroupError, LingamError
 from pumpcausal.grouping import Group, GroupDataset
 from pumpcausal.lingam import (
+    _BLOCK_ELEMENTS,
     CausalModel,
     IcaResult,
     LingamConfig,
+    _stacked,
     bootstrap_cis,
     causal_order,
     discover,
@@ -166,6 +168,19 @@ class TestCausalOrder:
         w = np.eye(3) - b
         assert causal_order(_ica_from_demixing(w)) == (0, 1, 2)
 
+    def test_matches_loop_oracle_on_random_demixing(self):
+        rng = rng_mod.stream(0, 913)
+        for _ in range(200):
+            d = int(rng.integers(2, 12))
+            w = np.eye(d) + rng.normal(scale=0.5, size=(d, d))
+            assert causal_order(_ica_from_demixing(w)) == lingam_order_loop(w)
+
+    def test_ties_match_loop_oracle(self):
+        permutation = np.zeros((3, 3))
+        permutation[[0, 1, 2], [2, 0, 1]] = 1.0
+        for w in (np.eye(4), permutation, np.diag([-1.0, 1.0, -1.0])):
+            assert causal_order(_ica_from_demixing(w)) == lingam_order_loop(w)
+
     def test_chain_recovered_from_data(self):
         hits = 0
         for seed in range(20):
@@ -294,12 +309,50 @@ class TestBootstrap:
         with pytest.raises(LingamError, match="all 5 bootstrap resamples"):
             bootstrap_cis(collinear, n_resamples=5, point_estimate=np.zeros((2, 2)))
 
+    def test_zero_resamples_rejected(self):
+        with pytest.raises(LingamError, match="n_resamples >= 1"):
+            bootstrap_cis(self._pair_data(0, n=50), n_resamples=0)
+
+    @pytest.mark.parametrize("case", ["sem", "rare_column", "iteration_cap"])
+    def test_matches_serial_oracle(self, case):
+        config = LingamConfig(threads=1)
+        if case == "rare_column":
+            x = self._pair_data(1)
+            rare = np.zeros(len(x))
+            rare[:2] = 1.0
+            x, n_resamples, seed = np.column_stack([x, rare]), 100, 1
+        else:
+            x, n_resamples, seed = generate_sem_data(8, 60, seed=12).x, 60, 3
+            if case == "iteration_cap":
+                config = LingamConfig(ica_max_iter=5, threads=1)
+        point = np.zeros((x.shape[1], x.shape[1]))
+        boot = bootstrap_cis(x, n_resamples, seed, config, point_estimate=point)
+        oracle = lingam_bootstrap_serial(
+            x, n_resamples, seed, point, config.ica_tol, config.ica_max_iter
+        )
+        for name in ("ci_low", "ci_high", "ci_low_raw", "ci_high_raw", "sign_stability"):
+            np.testing.assert_allclose(getattr(boot, name), oracle[name], rtol=0, atol=1e-9)
+        assert (boot.n_flagged, boot.n_unconverged) == (
+            oracle["n_flagged"], oracle["n_unconverged"]
+        )
+        if case == "rare_column":
+            assert boot.n_flagged > 0
+        if case == "iteration_cap":
+            assert boot.n_unconverged == n_resamples - boot.n_flagged > 0
+
+    def test_stacked_failure_flags_only_the_failing_matrix(self):
+        stack = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+        inverses, ok = _stacked(np.linalg.inv, stack)
+        assert ok.tolist() == [True, False, True]
+        np.testing.assert_array_equal(inverses[[0, 2]], [np.eye(3), 0.5 * np.eye(3)])
+
     def test_needs_ten_rows(self):
         with pytest.raises(LingamError, match="n >= 10"):
             bootstrap_cis(np.zeros((5, 2)), n_resamples=10)
 
     def test_parallel_matches_serial(self):
         x = self._pair_data(2, n=600)
+        assert 40 > _BLOCK_ELEMENTS // x.size  # the resamples span two blocks
         serial = bootstrap_cis(x, n_resamples=40, seed=4, config=LingamConfig(threads=1))
         forked = bootstrap_cis(x, n_resamples=40, seed=4, config=LingamConfig(threads=2))
         np.testing.assert_array_equal(serial.ci_low_raw, forked.ci_low_raw)

@@ -19,6 +19,7 @@ from pumpcausal.hazard import ParamLayout
 from pumpcausal.nuts import (
     PosteriorSamples,
     SamplerConfig,
+    diagnostic_flags,
     sample,
     write_diagnostics_json,
     write_draws_csv,
@@ -107,6 +108,8 @@ class TestExtractRandomEffects:
             divergences=np.zeros(1, int),
             step_sizes=np.ones(1),
             accept_means=np.ones(1),
+            grad_evals=np.zeros(1, int),
+            max_depth_hits=np.zeros(1, int),
             rhat=np.ones(layout.dim),
             ess_bulk=np.full(layout.dim, float(len(u_draws))),
         )
@@ -212,3 +215,44 @@ class TestExports:
         assert "x" in payload["parameters"]
         assert len(payload["chains"]) == 2
         assert payload["summary"]["total_divergences"] == int(samples.divergences.sum())
+
+    @pytest.mark.parametrize("n_draws, not_computed", [(5, ["ESS"]), (3, ["R-hat", "ESS"])])
+    def test_few_draws_write_null_and_flag(self, tmp_path, n_draws, not_computed):
+        config = SamplerConfig(n_draws=n_draws, n_tune=20, n_chains=2, seed=1, threads=1)
+        samples = sample(normal_target, 1, config)
+        path = tmp_path / "diag.json"
+        write_diagnostics_json(samples, ["x"], path)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["summary"]["min_ess_bulk"] is None
+        assert payload["parameters"]["x"]["ess_bulk"] is None
+        assert (payload["summary"]["max_rhat"] is None) == ("R-hat" in not_computed)
+        flags = diagnostic_flags(samples)
+        assert "ESS not computed (fewer than 8 draws per chain)" in flags
+        assert ("R-hat not computed (fewer than 4 draws per chain)" in flags) == (
+            "R-hat" in not_computed
+        )
+
+    def test_chain_record(self, tmp_path):
+        calls = []
+
+        def counted_target(theta):
+            calls.append(1)
+            return normal_target(theta)
+
+        config = SamplerConfig(
+            n_draws=30, n_tune=30, n_chains=2, max_tree_depth=1, seed=4, threads=1
+        )
+        samples = sample(counted_target, 1, config)
+        path = tmp_path / "diag.json"
+        write_diagnostics_json(samples, ["x"], path, data={"n_transitions": 7})
+        payload = json.loads(path.read_text())
+        chains = payload["chains"]
+        assert [c["accept_mean"] for c in chains] == samples.accept_means.tolist()
+        assert sum(c["n_grad_evals"] for c in chains) == len(calls)
+        hits = [c["max_tree_depth_hits"] for c in chains]
+        assert all(0 < h <= config.n_draws for h in hits)
+        assert payload["data"] == {"n_transitions": 7}

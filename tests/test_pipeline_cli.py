@@ -255,6 +255,24 @@ class TestPipelineCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert report["sampler"] == diag["summary"]
 
+    def test_diagnostics_record_chains_and_data(self, pipeline_run):
+        _, out, _ = pipeline_run
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert len(diag["chains"]) == 2
+        for chain in diag["chains"]:
+            assert 0.0 <= chain["accept_mean"] <= 1.0
+            assert chain["n_grad_evals"] > 0
+            assert 0 <= chain["max_tree_depth_hits"] <= 100
+        data = diag["data"]
+        transitions = (out / "transitions.csv").read_text().splitlines()[1:]
+        inspections = (out / "inspections.csv").read_text().splitlines()[1:]
+        assert data["n_transitions"] == len(transitions)
+        assert data["n_records"] == len(inspections)
+        # each of the 25 pumps' consecutive inspection pairs is a transition
+        # unless it was dropped
+        dropped = data["dropped_decrease"] + data["dropped_absorbing"]
+        assert data["n_transitions"] + dropped == data["n_records"] - 25
+
     def test_rerun_uses_cache_and_report_identical(self, pipeline_run):
         config_path, out, runner = pipeline_run
         report_before = (out / "report.json").read_bytes()
