@@ -14,13 +14,8 @@ from .features import (
     DEFAULT_ACTIVE_FEATURES,
     FEATURE_NAMES,
     FeatureMatrix,
-    FeatureVector,
-    WindowSeries,
-    compute_features,
     extract_features,
-    statistical_features,
-    trend_features,
-    variability_features,
+    window_features,
 )
 from .grouping import Group, GroupAssignment, GroupDataset, assign_groups, build_group_datasets
 from .hazard import (
@@ -63,9 +58,8 @@ __all__ = [
     "CovariateSeries", "Dataset", "InspectionRecord",
     "build_transitions", "ingest_inspections", "ingest_timeseries",
     "RandomEffectEstimate", "ess", "extract_random_effects", "hdi", "split_rhat",
-    "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix", "FeatureVector",
-    "WindowSeries", "compute_features", "extract_features",
-    "statistical_features", "trend_features", "variability_features",
+    "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
+    "extract_features", "window_features",
     "Group", "GroupAssignment", "GroupDataset", "assign_groups", "build_group_datasets",
     "ModelParams", "ParamLayout", "PriorSpec", "grad_log_posterior", "hazard_rate",
     "log_likelihood", "log_posterior_unconstrained", "log_prior",

@@ -9,8 +9,10 @@ the interval, with the interval-mean covariate vector attached.
 from __future__ import annotations
 
 import csv
-import math
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,6 +24,8 @@ N_STATES = 8
 
 INSPECTIONS_HEADER = ["pump_id", "day", "state"]
 TIMESERIES_HEADER = ["pump_id", "day", "value"]
+_TIMESERIES_ROW = np.dtype([("pump", np.int32), ("day", np.int64), ("value", np.float64)])
+_BLOCK_LINES = 2**12  # lines per np.loadtxt call, and the span of an error search
 
 
 @dataclass(frozen=True)
@@ -165,22 +169,27 @@ class TransitionBuild:
         return self.dropped_decrease + self.dropped_absorbing
 
 
-def _open_rows(path: str | Path, expected_header: list[str]):
+@contextmanager
+def _open_csv(path: str | Path, expected_header: list[str]):
+    """The open file, positioned after its checked header line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if header != expected_header:
             raise DataError(
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}"
             )
-        yield from ((line_no, row) for line_no, row in enumerate(reader, start=2))
+        yield fh
+
+
+def _open_rows(path: str | Path, expected_header: list[str]):
+    with _open_csv(path, expected_header) as fh:
+        yield from enumerate(csv.reader(fh), start=2)
 
 
 def ingest_inspections(path: str | Path) -> list[InspectionRecord]:
@@ -218,33 +227,98 @@ def ingest_inspections(path: str | Path) -> list[InspectionRecord]:
     return records
 
 
-def ingest_timeseries(path: str | Path) -> list[CovariateSeries]:
-    """Parse a timeseries CSV into one contiguous daily series per pump."""
-    by_pump: dict[str, tuple[int, list[float]]] = {}
-    for line_no, row in _open_rows(path, TIMESERIES_HEADER):
-        if len(row) != 3:
-            raise DataError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
-        pump_id, day_s, value_s = row
-        try:
-            day = int(day_s)
-            value = float(value_s)
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: non-numeric day or value") from None
-        if not math.isfinite(value):
-            raise DataError(f"{path} line {line_no}: non-finite value")
-        if pump_id not in by_pump:
-            by_pump[pump_id] = (day, [value])
+def _parse_lines(lines: list[str], codes) -> np.ndarray | None:
+    """The lines as a (pump, day, value) table, pumps coded by ``codes``; None
+    unless every line is one row of three fields with an integer day and a
+    numeric value."""
+    if not lines:
+        return np.empty(0, _TIMESERIES_ROW)
+    if any(map(str.isspace, lines)):  # loadtxt would skip a blank line
+        return None
+    try:
+        table = np.loadtxt(
+            lines, _TIMESERIES_ROW, delimiter=",", comments=None, quotechar='"',
+            converters={0: codes.__getitem__}, ndmin=1,
+        )
+    except ValueError:
+        return None
+    return table if len(table) == len(lines) else None
+
+
+def _parse_block(lines: list[str], codes) -> tuple[np.ndarray, int]:
+    """The table of the lines before the first malformed one, and that
+    line's index (``len(lines)`` when every line parses), found by bisection."""
+    table = _parse_lines(lines, codes)
+    if table is not None:
+        return table, len(lines)
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _parse_lines(lines[:mid], codes) is None:
+            bad = mid
         else:
-            start, values = by_pump[pump_id]
-            if day != start + len(values):
-                raise DataError(
-                    f"{path} line {line_no}: pump {pump_id} days not contiguous "
-                    f"(expected {start + len(values)}, got {day})"
-                )
-            values.append(value)
+            good = mid
+    return _parse_lines(lines[:good], codes), good
+
+
+def ingest_timeseries(path: str | Path) -> list[CovariateSeries]:
+    """Parse a timeseries CSV into one contiguous daily series per pump.
+
+    The lines are parsed in blocks of ``_BLOCK_LINES`` into pump, day and
+    value columns, and reading stops at the first malformed line.  An error
+    names the first offending line in file order: malformed, non-finite, or
+    breaking its pump's run of consecutive days.  Series come in
+    first-appearance order, their values views into one value column.
+    """
+    codes = defaultdict()
+    codes.default_factory = codes.__len__  # a new pump id takes the next code
+    tables = [np.empty(0, _TIMESERIES_ROW)]  # so a header-only file concatenates
+    errors: list[tuple[int, str]] = []
+    line_no = 2
+    with _open_csv(path, TIMESERIES_HEADER) as fh:
+        while not errors and (lines := list(islice(fh, _BLOCK_LINES))):
+            table, n_good = _parse_block(lines, codes)
+            tables.append(table)
+            if n_good < len(lines):
+                n_fields = len(next(csv.reader(lines[n_good : n_good + 1]), []))
+                errors.append((
+                    line_no + n_good,
+                    f"expected 3 fields, got {n_fields}" if n_fields != 3
+                    else "non-numeric day or value",
+                ))
+            line_no += len(lines)
+    # row r of the columns is line r + 2 of the file
+    code, day, value = (
+        np.concatenate([t[name] for t in tables]) for name in _TIMESERIES_ROW.names
+    )
+    del tables
+    (nonfinite,) = np.nonzero(~np.isfinite(value))
+    if len(nonfinite):
+        errors.append((int(nonfinite[0]) + 2, "non-finite value"))
+
+    order = None
+    if np.any(code[1:] < code[:-1]):  # pumps interleaved: gather each pump's rows in file order
+        order = np.argsort(code, kind="stable")
+        code, day, value = code[order], day[order], value[order]
+    pump_ids = list(codes)
+    same_pump = code[1:] == code[:-1]
+    (gaps,) = np.nonzero(same_pump & (np.diff(day) != 1))
+    if len(gaps):
+        rows = gaps + 1 if order is None else order[gaps + 1]
+        first = np.argmin(rows)
+        at = gaps[first] + 1
+        errors.append((
+            int(rows[first]) + 2,
+            f"pump {pump_ids[code[at]]} days not contiguous "
+            f"(expected {day[at - 1] + 1}, got {day[at]})",
+        ))
+    if errors:
+        line, message = min(errors, key=lambda e: e[0])
+        raise DataError(f"{path} line {line}: {message}")
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
     return [
-        CovariateSeries(pump_id, start, np.array(values))
-        for pump_id, (start, values) in by_pump.items()
+        CovariateSeries(pump_ids[c], int(d), v)
+        for c, d, v in zip(code[starts], day[starts], np.split(value, starts[1:]))
     ]
 
 
@@ -353,6 +427,16 @@ def write_inspections_csv(records: Iterable[InspectionRecord], path: str | Path)
 
 
 def write_timeseries_csv(series: Iterable[CovariateSeries], path: str | Path) -> None:
+    """Write one daily series per pump; a repeated pump id raises, because
+    ``ingest_timeseries`` reads one series per pump."""
+    series = list(series)
+    counts = Counter(s.pump_id for s in series)
+    repeated = [pump_id for pump_id, count in counts.items() if count > 1]
+    if repeated:
+        raise DataError(
+            f"pump {repeated[0]} has {counts[repeated[0]]} series; "
+            "a timeseries file holds one series per pump"
+        )
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_HEADER)

@@ -9,9 +9,9 @@ interpolate linearly between order statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import csv
 
@@ -41,148 +41,66 @@ FEATURE_NAMES = STATISTICAL_NAMES + TREND_NAMES + VARIABILITY_NAMES
 DEFAULT_ACTIVE_FEATURES = tuple(n for n in FEATURE_NAMES if n != "diff_mean")
 
 ROLLING_WINDOWS = (7, 14, 30)
+MIN_WINDOW = max(ROLLING_WINDOWS) + 1  # every rolling window, plus one difference
 DEFAULT_WINDOW = 90
+_BLOCK_ELEMENTS = 2**16  # 0.5 MB of float64 scratch per rolling width
 
 
-@dataclass(frozen=True, eq=False)
-class WindowSeries:
-    """A fixed-length daily window of one pump's measurements."""
+def window_features(x) -> np.ndarray:
+    """All 23 features, in ``FEATURE_NAMES`` order, of each row of a
+    ``(P, w)`` matrix of daily windows.
 
-    values: np.ndarray
-    window: int = DEFAULT_WINDOW
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.window:
-            raise DataError(
-                f"window has {len(values)} values, expected {self.window}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DataError("non-finite value in window")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """All 23 computed features for one window."""
-
-    mean: float
-    std: float
-    q25: float
-    q50: float
-    q75: float
-    iqr: float
-    min: float
-    max: float
-    skewness: float
-    kurtosis: float
-    cv: float
-    trend_slope_90d: float
-    trend_intercept: float
-    recent_vs_past_ratio: float
-    recent_vs_past_diff: float
-    recent_change_rate: float
-    diff_mean: float
-    diff_abs_mean: float
-    rolling_std_7d_mean: float
-    rolling_std_14d_mean: float
-    rolling_std_30d_mean: float
-    max_drawdown: float
-    mean_drawdown: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _as_values(w) -> np.ndarray:
-    if isinstance(w, WindowSeries):
-        return w.values
-    values = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(values)):
+    Rows are computed in blocks of about ``_BLOCK_ELEMENTS`` rolling-window
+    values, which bounds the rolling standard deviations' scratch memory;
+    each row's features do not depend on the others.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    if n < MIN_WINDOW:
+        raise DataError(f"features need a window of length >= {MIN_WINDOW}, got {n}")
+    if not np.all(np.isfinite(x)):
         raise DataError("non-finite value in window")
-    return values
+    rows = max(1, _BLOCK_ELEMENTS // (n * max(ROLLING_WINDOWS)))
+    blocks = [_block_features(x[i : i + rows]) for i in range(0, len(x), rows)]
+    return np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
 
 
-def statistical_features(w) -> dict[str, float]:
-    """Distributional statistics (11 values); population divisors throughout."""
-    x = _as_values(w)
-    if len(x) < 2:
-        raise DataError("statistical features need a window of length >= 2")
-    mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
-    q25, q50, q75 = (float(np.quantile(x, q)) for q in (0.25, 0.5, 0.75))
-    if sigma > 0.0:
-        z = (x - mu) / sigma
-        skewness = float(np.mean(z**3))
-        kurtosis = float(np.mean(z**4) - 3.0)
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
-    return {
-        "mean": mu,
-        "std": sigma,
-        "q25": q25,
-        "q50": q50,
-        "q75": q75,
-        "iqr": q75 - q25,
-        "min": float(x.min()),
-        "max": float(x.max()),
-        "skewness": skewness,
-        "kurtosis": kurtosis,
-        "cv": sigma / (abs(mu) + EPSILON),
-    }
+def _block_features(x: np.ndarray) -> np.ndarray:
+    n = x.shape[1]
+    mu = x.mean(axis=1)
+    centred = x - mu[:, None]
+    sigma = np.sqrt(np.mean(centred**2, axis=1))
+    q25, q50, q75 = (np.quantile(x, q, axis=1) for q in (0.25, 0.5, 0.75))
+    spread = sigma > 0.0
+    z = centred / np.where(spread, sigma, 1.0)[:, None]
+    skewness = np.where(spread, np.mean(z**3, axis=1), 0.0)
+    kurtosis = np.where(spread, np.mean(z**4, axis=1) - 3.0, 0.0)
 
-
-def trend_features(w) -> dict[str, float]:
-    """Linear trend and recent-versus-past comparisons (5 values)."""
-    x = _as_values(w)
-    n = len(x)
-    if n < 8:
-        raise DataError("trend features need a window of length >= 8")
     t = np.arange(1.0, n + 1.0)
     t_bar = t.mean()
-    mu = x.mean()
-    slope = float(np.sum((t - t_bar) * (x - mu)) / np.sum((t - t_bar) ** 2))
-    intercept = float(mu - slope * t_bar)
+    slope = np.sum((t - t_bar) * centred, axis=1) / np.sum((t - t_bar) ** 2)
     third = n // 3
-    past = float(x[:third].mean())
-    recent = float(x[n - third :].mean())
-    return {
-        "trend_slope_90d": slope,
-        "trend_intercept": intercept,
-        "recent_vs_past_ratio": recent / (past + EPSILON),
-        "recent_vs_past_diff": recent - past,
-        "recent_change_rate": float((x[-1] - x[-8]) / 7.0),
-    }
+    past = x[:, :third].mean(axis=1)
+    recent = x[:, n - third :].mean(axis=1)
 
-
-def variability_features(w) -> dict[str, float]:
-    """First-difference, rolling-std, and drawdown measures (7 values)."""
-    x = _as_values(w)
-    n = len(x)
-    if n < max(ROLLING_WINDOWS) + 1:
-        raise DataError(
-            f"variability features need a window of length >= {max(ROLLING_WINDOWS) + 1}"
-        )
-    diffs = np.diff(x)
-    out = {
-        "diff_mean": float(diffs.mean()),
-        "diff_abs_mean": float(np.abs(diffs).mean()),
-    }
-    for width in ROLLING_WINDOWS:
-        trailing = np.lib.stride_tricks.sliding_window_view(x, width)
-        out[f"rolling_std_{width}d_mean"] = float(trailing.std(axis=1).mean())
-    running_max = np.maximum.accumulate(x)
+    diffs = np.diff(x, axis=1)
+    rolling = [
+        np.lib.stride_tricks.sliding_window_view(x, width, axis=1).std(axis=2).mean(axis=1)
+        for width in ROLLING_WINDOWS
+    ]
+    running_max = np.maximum.accumulate(x, axis=1)
     drawdown = (running_max - x) / (running_max + EPSILON)
-    out["max_drawdown"] = float(drawdown.max())
-    out["mean_drawdown"] = float(drawdown.mean())
-    return out
-
-
-def compute_features(w) -> FeatureVector:
-    """All 23 features for one window."""
-    merged = statistical_features(w) | trend_features(w) | variability_features(w)
-    return FeatureVector(**merged)
+    return np.stack(
+        [
+            mu, sigma, q25, q50, q75, q75 - q25, x.min(axis=1), x.max(axis=1),
+            skewness, kurtosis, sigma / (np.abs(mu) + EPSILON),
+            slope, mu - slope * t_bar, recent / (past + EPSILON), recent - past,
+            (x[:, -1] - x[:, -8]) / 7.0,
+            diffs.mean(axis=1), np.abs(diffs).mean(axis=1), *rolling,
+            drawdown.max(axis=1), drawdown.mean(axis=1),
+        ],
+        axis=1,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +129,7 @@ class FeatureMatrix:
 
 
 def extract_features(
-    series: Iterable[CovariateSeries] | Mapping[str, np.ndarray],
+    series: Iterable[CovariateSeries],
     window_end: int,
     window: int = DEFAULT_WINDOW,
     active: Sequence[str] = DEFAULT_ACTIVE_FEATURES,
@@ -224,31 +142,20 @@ def extract_features(
     unknown = [name for name in active if name not in FEATURE_NAMES]
     if unknown:
         raise DataError(f"unknown feature names: {unknown}")
-    if isinstance(series, Mapping):
-        items = [(pid, 0, np.asarray(vals, float)) for pid, vals in series.items()]
-    else:
-        items = [(s.pump_id, s.start_day, s.values) for s in series]
-
+    series = list(series)
     start_day = window_end - window + 1
-    short: list[str] = []
-    rows: list[np.ndarray] = []
-    pump_ids: list[str] = []
-    for pump_id, s_start, values in items:
-        lo = start_day - s_start
-        hi = window_end + 1 - s_start
-        if lo < 0 or hi > len(values):
-            short.append(pump_id)
-            continue
-        vec = compute_features(WindowSeries(values[lo:hi], window)).as_dict()
-        rows.append(np.array([vec[name] for name in active]))
-        pump_ids.append(pump_id)
+    short = [s.pump_id for s in series if start_day < s.start_day or window_end >= s.end_day]
     if short:
         raise DataError(
             f"series too short for window [{start_day}, {window_end}] on pumps: "
             + ", ".join(short)
         )
-    stacked = np.stack(rows) if rows else np.empty((0, len(active)))
-    return FeatureMatrix(tuple(pump_ids), tuple(active), stacked)
+    windows = [s.window(start_day, window_end + 1) for s in series]
+    x = np.stack(windows) if windows else np.empty((0, window))
+    columns = [FEATURE_NAMES.index(name) for name in active]
+    return FeatureMatrix(
+        tuple(s.pump_id for s in series), tuple(active), window_features(x)[:, columns]
+    )
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:

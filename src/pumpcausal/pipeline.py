@@ -112,6 +112,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown active features: {unknown}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if self.feature_window < features_mod.MIN_WINDOW:
+            raise ConfigError(
+                f"feature window must be >= {features_mod.MIN_WINDOW}, got {self.feature_window}"
+            )
 
     def _project(self, cls):
         return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
@@ -313,16 +317,11 @@ def run_features(cfg: PipelineConfig) -> None:
     with _stage_guard("features"):
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         series = data_mod.ingest_timeseries(cfg.timeseries_path())
-        # one representative series per pump: the first in file order
-        seen: dict[str, data_mod.CovariateSeries] = {}
-        for s in series:
-            seen.setdefault(s.pump_id, s)
-        chosen = list(seen.values())
         window_end = cfg.feature_window_end
         if window_end is None:
-            window_end = min(s.end_day - 1 for s in chosen)
+            window_end = min(s.end_day - 1 for s in series)
         matrix = features_mod.extract_features(
-            chosen, window_end, cfg.feature_window, cfg.active_features
+            series, window_end, cfg.feature_window, cfg.active_features
         )
         features_mod.write_features_csv(matrix, cfg.path("features"))
 

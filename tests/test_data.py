@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pumpcausal import data as data_mod
 from pumpcausal.data import (
     CovariateSeries,
     Dataset,
@@ -11,9 +12,11 @@ from pumpcausal.data import (
     ingest_inspections,
     ingest_timeseries,
     read_transitions_csv,
+    write_timeseries_csv,
     write_transitions_csv,
 )
 from pumpcausal.errors import DataError
+from pumpcausal.synth import SynthConfig, generate_hazard_data
 
 
 def _write(tmp_path, name, text):
@@ -83,6 +86,86 @@ class TestIngestTimeseries:
         path = _write(tmp_path, "t.csv", "pump_id,day,value\nP,0,nan\n")
         with pytest.raises(DataError, match="non-finite"):
             ingest_timeseries(path)
+
+    # a block size of 2 puts most offending lines past the first block
+    @pytest.mark.parametrize("block_lines", [2, data_mod._BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("P,0,1\nP,1,2,3\n", "line 3: expected 3 fields, got 4"),
+            ("P,0,1\nP,1,2\nP,2\n", "line 4: expected 3 fields, got 2"),
+            ("P,0,1\n\nP,1,2\n", "line 3: expected 3 fields, got 0"),
+            ("P,0,1\nP,1.5,2\n", "line 3: non-numeric day or value"),
+            ("P,0,1\nP,1,2\nP,2,abc\n", "line 4: non-numeric day or value"),
+            ("P,0,1\nP,1,nan\n", "line 3: non-finite value"),
+            ("P,0,1\nP,1,2\nP,2,-inf\n", "line 4: non-finite value"),
+            ("P,0,1\nP,2,1\n", r"line 3: pump P days not contiguous \(expected 1, got 2\)"),
+            ("A,0,1\nB,5,1\nA,1,1\nB,7,1\n",
+             r"line 5: pump B days not contiguous \(expected 6, got 7\)"),
+            # the first offending line in file order, whatever its kind
+            ("P,0,1\nP,2,1\nP,3,x\n", r"line 3: pump P days not contiguous"),
+            ("P,0,1\nP,1,inf\nP,2\n", "line 3: non-finite value"),
+            ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: non-numeric day or value"),
+        ],
+    )
+    def test_error_names_first_offending_line(
+        self, tmp_path, monkeypatch, block_lines, body, message
+    ):
+        monkeypatch.setattr(data_mod, "_BLOCK_LINES", block_lines)
+        path = _write(tmp_path, "t.csv", "pump_id,day,value\n" + body)
+        with pytest.raises(DataError, match=message):
+            ingest_timeseries(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("pump,day,value\nP,0,1\n", "expected header pump_id,day,value"), ("", "empty file")],
+    )
+    def test_bad_header_and_empty_file(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            ingest_timeseries(_write(tmp_path, "t.csv", text))
+
+    def test_interleaved_pumps_in_first_appearance_order(self, tmp_path):
+        path = _write(
+            tmp_path, "t.csv", "pump_id,day,value\nB,3,1.5\nA,0,2\nB,4,2.5\nA,1,3\nB,5,3.5\n"
+        )
+        series = ingest_timeseries(path)
+        assert [(s.pump_id, s.start_day) for s in series] == [("B", 3), ("A", 0)]
+        np.testing.assert_array_equal(series[0].values, [1.5, 2.5, 3.5])
+        np.testing.assert_array_equal(series[1].values, [2.0, 3.0])
+
+    def test_header_only_file_gives_no_series(self, tmp_path):
+        assert ingest_timeseries(_write(tmp_path, "t.csv", "pump_id,day,value\n")) == []
+
+    def test_quoted_pump_id_with_comma(self, tmp_path):
+        path = _write(tmp_path, "t.csv", 'pump_id,day,value\n"A,1",0,1.5\n"A,1",1,2.5\n')
+        (series,) = ingest_timeseries(path)
+        assert series.pump_id == "A,1"
+        np.testing.assert_array_equal(series.values, [1.5, 2.5])
+
+
+class TestWriteTimeseries:
+    def test_repeated_pump_rejected(self, tmp_path):
+        # two hazard covariates give each pump two series
+        synthesis = generate_hazard_data(SynthConfig(n_pumps=3, beta=(0.5, -0.5)))
+        path = tmp_path / "timeseries.csv"
+        with pytest.raises(DataError, match="pump P000 has 2 series"):
+            write_timeseries_csv(synthesis.covariates, path)
+        assert not path.exists()
+
+    def test_write_ingest_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        series = [
+            CovariateSeries(pid, start, rng.normal(size=length))
+            for pid, start, length in (("P1", 0, 40), ("a,b", 7, 3), ("P3", 120, 1))
+        ]
+        path = tmp_path / "timeseries.csv"
+        write_timeseries_csv(series, path)
+        again = ingest_timeseries(path)
+        assert [(s.pump_id, s.start_day) for s in again] == [
+            (s.pump_id, s.start_day) for s in series
+        ]
+        for a, b in zip(again, series):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 def _records(*triples):

@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_features
+from pumpcausal import features as features_mod
 from pumpcausal.data import CovariateSeries
 from pumpcausal.errors import DataError
 from pumpcausal.features import (
     DEFAULT_ACTIVE_FEATURES,
     FEATURE_NAMES,
-    WindowSeries,
-    compute_features,
     extract_features,
     read_features_csv,
-    statistical_features,
-    trend_features,
-    variability_features,
+    window_features,
     write_features_csv,
 )
 
@@ -43,9 +40,14 @@ def _window(rng, loc=0.0, scale=1.0, n=90):
     return loc + scale * rng.standard_normal(n)
 
 
+def features(window) -> dict[str, float]:
+    """The kernel on a batch of one window, by feature name."""
+    return dict(zip(FEATURE_NAMES, window_features(np.asarray(window, float)[None, :])[0]))
+
+
 class TestExactCases:
     def test_constant_series(self):
-        vec = compute_features(np.full(90, 3.25)).as_dict()
+        vec = features(np.full(90, 3.25))
         assert vec["mean"] == 3.25
         for name in ("std", "iqr", "cv", "skewness", "kurtosis", "trend_slope_90d",
                      "diff_mean", "diff_abs_mean", "rolling_std_7d_mean",
@@ -56,7 +58,7 @@ class TestExactCases:
         assert vec["recent_vs_past_ratio"] == pytest.approx(1.0, rel=1e-9)
 
     def test_ramp_one_to_ninety(self):
-        vec = compute_features(np.arange(1.0, 91.0)).as_dict()
+        vec = features(np.arange(1.0, 91.0))
         assert vec["mean"] == pytest.approx(45.5)
         assert vec["min"] == 1.0
         assert vec["max"] == 90.0
@@ -65,30 +67,30 @@ class TestExactCases:
 
     def test_linear_series_trend(self):
         t = np.arange(1.0, 91.0)
-        vec = compute_features(2.0 * t).as_dict()
+        vec = features(2.0 * t)
         assert vec["trend_slope_90d"] == pytest.approx(2.0, rel=1e-12)
         assert vec["trend_intercept"] == pytest.approx(0.0, abs=1e-9)
         assert vec["recent_change_rate"] == pytest.approx(2.0, rel=1e-12)
 
     def test_quadratic_series_slope(self):
         t = np.arange(1.0, 91.0)
-        vec = trend_features(t * t)
+        vec = features(t * t)
         oracle = brute_force_features(t * t)
         assert vec["trend_slope_90d"] == pytest.approx(oracle["trend_slope_90d"], rel=1e-12)
         assert vec["trend_slope_90d"] == pytest.approx(91.0, rel=1e-12)
 
     def test_symmetric_series_zero_skew(self):
         xs = np.concatenate([np.linspace(-1, 1, 45), -np.linspace(-1, 1, 45)])
-        assert abs(statistical_features(xs)["skewness"]) < 1e-12
+        assert abs(features(xs)["skewness"]) < 1e-12
 
     def test_single_drop_drawdown(self):
         xs = np.concatenate([np.full(89, 2.0), [1.0]])
-        vec = variability_features(xs)
+        vec = features(xs)
         assert vec["max_drawdown"] == pytest.approx(0.5, rel=1e-9)
 
     def test_increasing_series_no_drawdown(self):
         xs = np.cumsum(np.abs(np.random.default_rng(0).standard_normal(90))) + 1.0
-        vec = variability_features(xs)
+        vec = features(xs)
         assert vec["max_drawdown"] == 0.0
         assert vec["mean_drawdown"] == 0.0
 
@@ -98,11 +100,26 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(42)
         for trial in range(10):
             xs = _window(rng, loc=float(rng.normal(0, 3)), scale=float(rng.uniform(0.1, 5)))
-            ours = compute_features(xs).as_dict()
+            ours = features(xs)
             oracle = brute_force_features(xs)
             assert set(ours) == set(oracle) == set(FEATURE_NAMES)
             for name in FEATURE_NAMES:
                 assert ours[name] == pytest.approx(oracle[name], abs=1e-12, rel=1e-12), name
+
+    def test_batch_rows_match_oracle_and_batch_of_one(self):
+        rng = np.random.default_rng(43)
+        loc = rng.normal(0.0, 3.0, (200, 1))
+        scale = rng.uniform(0.1, 5.0, (200, 1))
+        batch = loc + scale * rng.standard_normal((200, 90))
+        batch[0] = 2.0  # a constant row among varying ones
+        assert len(batch) > features_mod._BLOCK_ELEMENTS // (90 * 30)  # spans blocks
+        out = window_features(batch)
+        assert out.shape == (200, len(FEATURE_NAMES))
+        for i, row in enumerate(batch):
+            oracle = brute_force_features(row)
+            for j, name in enumerate(FEATURE_NAMES):
+                assert out[i, j] == pytest.approx(oracle[name], abs=1e-12, rel=1e-12), (i, name)
+            assert np.array_equal(out[i], window_features(row[None, :])[0]), i
 
 
 class TestProperties:
@@ -110,8 +127,8 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     def test_shift_equivariance(self, seed, shift):
         xs = _window(np.random.default_rng(seed))
-        base = compute_features(xs).as_dict()
-        moved = compute_features(xs + shift).as_dict()
+        base = features(xs)
+        moved = features(xs + shift)
         for name in SHIFT_INVARIANT:
             assert moved[name] == pytest.approx(base[name], abs=1e-9), name
         for name in SHIFTED_BY_C:
@@ -122,8 +139,8 @@ class TestProperties:
     def test_scale_equivariance(self, seed, scale):
         rng = np.random.default_rng(seed)
         xs = np.abs(_window(rng)) + 0.5  # positive series keeps drawdowns comparable
-        base = compute_features(xs).as_dict()
-        scaled = compute_features(scale * xs).as_dict()
+        base = features(xs)
+        scaled = features(scale * xs)
         for name in SCALED_BY_C:
             assert scaled[name] == pytest.approx(scale * base[name], rel=1e-9, abs=1e-9), name
         for name in SCALE_INVARIANT:
@@ -138,7 +155,7 @@ class TestProperties:
     def test_quantile_ordering(self, seed):
         rng = np.random.default_rng(seed)
         xs = _window(rng, loc=float(rng.normal()), scale=float(rng.uniform(0.01, 10)))
-        vec = statistical_features(xs)
+        vec = features(xs)
         assert vec["min"] <= vec["q25"] <= vec["q50"] <= vec["q75"] <= vec["max"]
         assert vec["iqr"] >= 0.0
         assert vec["std"] >= 0.0
@@ -147,22 +164,15 @@ class TestProperties:
         rng = np.random.default_rng(7)
         for _ in range(20):
             xs = np.abs(_window(rng)) + 0.01
-            vec = variability_features(xs)
+            vec = features(xs)
             assert 0.0 <= vec["max_drawdown"] <= 1.0 + 1e-9
 
 
 class TestWindowContracts:
-    def test_window_series_validates_length(self):
-        with pytest.raises(DataError):
-            WindowSeries(np.ones(89))
-
     def test_minimum_lengths(self):
-        with pytest.raises(DataError):
-            statistical_features(np.ones(1))
-        with pytest.raises(DataError):
-            trend_features(np.ones(7))
-        with pytest.raises(DataError):
-            variability_features(np.ones(30))
+        with pytest.raises(DataError, match="length >= 31, got 30"):
+            window_features(np.ones((2, 30)))
+        assert window_features(np.ones((2, 31))).shape == (2, len(FEATURE_NAMES))
 
 
 class TestExtractFeatures:
@@ -197,7 +207,7 @@ class TestExtractFeatures:
 
     def test_unknown_active_feature(self):
         with pytest.raises(DataError, match="unknown"):
-            extract_features({}, window_end=89, active=["nope"])
+            extract_features([], window_end=89, active=["nope"])
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -157,6 +157,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"bad value for \[features\] window_end"):
             load_config(bad)
 
+    def test_short_feature_window_rejected(self, tmp_path):
+        # rejected before the fit runs, not in the features stage after it
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[features]\nwindow = 20\n")
+        with pytest.raises(ConfigError, match="feature window must be >= 31, got 20"):
+            load_config(bad)
+        bad.write_text("[features]\nwindow = 31\n")
+        assert load_config(bad).feature_window == 31
+
     def test_cli_overrides_take_precedence(self, tmp_path):
         path, _ = _write_config(tmp_path, out_name="o1")
         cfg = load_config(path, seed=99, out_dir=tmp_path / "elsewhere", threads=4)
