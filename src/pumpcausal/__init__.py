@@ -18,18 +18,7 @@ from .features import (
     window_features,
 )
 from .grouping import Group, GroupAssignment, GroupDataset, assign_groups, build_group_datasets
-from .hazard import (
-    ModelParams,
-    ParamLayout,
-    PriorSpec,
-    grad_log_posterior,
-    hazard_rate,
-    log_likelihood,
-    log_posterior_unconstrained,
-    log_prior,
-    make_logp_and_grad,
-    transition_prob,
-)
+from .hazard import ParamLayout, PriorSpec, grad_log_posterior, make_logp_and_grad
 from .lingam import (
     CausalModel,
     IcaResult,
@@ -61,9 +50,7 @@ __all__ = [
     "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
     "extract_features", "window_features",
     "Group", "GroupAssignment", "GroupDataset", "assign_groups", "build_group_datasets",
-    "ModelParams", "ParamLayout", "PriorSpec", "grad_log_posterior", "hazard_rate",
-    "log_likelihood", "log_posterior_unconstrained", "log_prior",
-    "make_logp_and_grad", "transition_prob",
+    "ParamLayout", "PriorSpec", "grad_log_posterior", "make_logp_and_grad",
     "CausalModel", "IcaResult", "LingamConfig", "StandardizedData",
     "bootstrap_cis", "causal_order", "discover", "estimate_effects",
     "fast_ica", "standardize",

@@ -39,31 +39,6 @@ class PriorSpec:
             raise ModelError("prior scales must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class ModelParams:
-    """Constrained-space parameters."""
-
-    log_lambda0: np.ndarray
-    beta: np.ndarray
-    u_raw: np.ndarray
-    sigma_u: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_lambda0", np.asarray(self.log_lambda0, float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, float))
-        object.__setattr__(self, "u_raw", np.asarray(self.u_raw, float))
-        if self.sigma_u <= 0:
-            raise ModelError(f"sigma_u must be positive, got {self.sigma_u}")
-        for name in ("log_lambda0", "beta", "u_raw"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ModelError(f"non-finite entry in {name}")
-
-    @property
-    def u(self) -> np.ndarray:
-        """Pump effects on the log-hazard scale: u_raw * sigma_u."""
-        return self.u_raw * self.sigma_u
-
-
 @dataclass(frozen=True)
 class ParamLayout:
     """Index map for the flat unconstrained vector.
@@ -101,33 +76,6 @@ class ParamLayout:
     def zeta_index(self) -> int:
         return self.dim - 1
 
-    def pack(self, params: ModelParams) -> np.ndarray:
-        if (
-            len(params.log_lambda0) != self.n_states
-            or len(params.beta) != self.n_covariates
-            or len(params.u_raw) != self.n_pumps
-        ):
-            raise ModelError("parameter blocks do not match layout")
-        return np.concatenate(
-            [
-                params.log_lambda0,
-                params.beta,
-                params.u_raw,
-                [math.log(params.sigma_u)],
-            ]
-        )
-
-    def unpack(self, theta: np.ndarray) -> ModelParams:
-        theta = np.asarray(theta, float)
-        if theta.shape != (self.dim,):
-            raise ModelError(f"expected vector of length {self.dim}, got {theta.shape}")
-        return ModelParams(
-            log_lambda0=theta[self.log_lambda0_slice].copy(),
-            beta=theta[self.beta_slice].copy(),
-            u_raw=theta[self.u_raw_slice].copy(),
-            sigma_u=math.exp(theta[self.zeta_index]),
-        )
-
     def names(self) -> list[str]:
         return (
             [f"log_lambda0[{k}]" for k in range(1, self.n_states + 1)]
@@ -143,162 +91,113 @@ class ParamLayout:
         return center
 
 
-def hazard_rate(params: ModelParams, k: int, x: np.ndarray, i: int) -> float:
-    """Hazard for pump i in (1-based) state k given covariates x."""
-    if not 1 <= k <= len(params.log_lambda0):
-        raise ModelError(f"state {k} outside 1..{len(params.log_lambda0)}")
-    x = np.asarray(x, float)
-    if x.shape != params.beta.shape:
-        raise ModelError(f"covariate length {x.shape} != {params.beta.shape}")
-    eta = params.log_lambda0[k - 1] + float(params.beta @ x) + params.u_raw[i] * params.sigma_u
-    return math.exp(eta)
-
-
-def transition_prob(lam: float, delta_t: float) -> float:
-    """P(state advance within delta_t) = 1 - exp(-lam*dt), clamped off 0/1."""
-    if lam <= 0 or delta_t <= 0:
-        raise ModelError("transition_prob requires lam > 0 and delta_t > 0")
-    p = -math.expm1(-lam * delta_t)
-    return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-
-
-def _check_dims(params: ModelParams, data: Dataset) -> None:
-    if (
-        len(params.log_lambda0) != data.n_states
-        or len(params.beta) != data.n_covariates
-        or len(params.u_raw) != data.n_pumps
-    ):
-        raise ModelError("parameter dimensions do not match dataset")
-
-
-def log_likelihood(params: ModelParams, data: Dataset) -> float:
-    """Bernoulli log-likelihood over all transition observations.
-
-    Uses log(1-p) = -lam*dt on the y=0 branch and log1p(-exp(-lam*dt)) on
-    the y=1 branch, so values stay finite for lam*dt up to ~700.
-    """
-    _check_dims(params, data)
-    if not len(data):
-        return 0.0
-    eta = params.log_lambda0[data.k] + params.u_raw[data.pump] * params.sigma_u
-    if data.n_covariates:
-        eta = eta + data.x @ params.beta
-    lam_dt = np.exp(np.minimum(eta + np.log(data.dt), MAX_LOG_EXPOSURE))
-    log_p = np.log(np.maximum(-np.expm1(-lam_dt), PROB_FLOOR))
-    return float(np.sum(np.where(data.y == 1, log_p, -lam_dt)))
-
-
-def log_prior(params: ModelParams, priors: PriorSpec = PriorSpec()) -> float:
-    """Sum of prior log-densities, normalizing constants included."""
-    k = len(params.log_lambda0)
-    p = len(params.beta)
-    n = len(params.u_raw)
-    sd0 = priors.sd_log_lambda0
-    out = -0.5 * np.sum((params.log_lambda0 - priors.mu_log_lambda0) ** 2) / sd0**2
-    out -= k * (0.5 * _LOG_2PI + math.log(sd0))
-    out += -0.5 * np.sum(params.beta**2) / priors.sd_beta**2
-    out -= p * (0.5 * _LOG_2PI + math.log(priors.sd_beta))
-    out += -0.5 * np.sum(params.u_raw**2) - 0.5 * n * _LOG_2PI
-    s = priors.sigma_u_scale
-    out += 0.5 * math.log(2.0 / math.pi) - math.log(s) - 0.5 * (params.sigma_u / s) ** 2
-    return float(out)
-
-
-def log_posterior_unconstrained(
-    theta: np.ndarray,
-    data: Dataset,
-    layout: ParamLayout | None = None,
-    priors: PriorSpec = PriorSpec(),
-) -> float:
-    """Unconstrained-space log-posterior: likelihood + prior + Jacobian zeta."""
-    layout = layout or ParamLayout.for_dataset(data)
-    params = layout.unpack(theta)
-    zeta = float(theta[layout.zeta_index])
-    return log_likelihood(params, data) + log_prior(params, priors) + zeta
-
-
 def grad_log_posterior(
     theta: np.ndarray,
     data: Dataset,
     layout: ParamLayout | None = None,
     priors: PriorSpec = PriorSpec(),
 ) -> np.ndarray:
-    """Analytic gradient of ``log_posterior_unconstrained``."""
+    """Analytic gradient of the unconstrained log-posterior at one point."""
     layout = layout or ParamLayout.for_dataset(data)
-    _, grad = make_logp_and_grad(data, layout, priors)(np.asarray(theta, float))
-    return grad
+    _, grad = make_logp_and_grad(data, layout, priors)(np.asarray(theta, float)[None])
+    return grad[0]
 
 
 def make_logp_and_grad(
     data: Dataset,
     layout: ParamLayout | None = None,
     priors: PriorSpec = PriorSpec(),
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Build the sampler target: theta -> (log-posterior, gradient).
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Build the batched sampler target: theta (C, dim) -> (logp (C,), grad (C, dim)).
 
-    Each call is a handful of vectorized operations over the dataset's
-    columns, safe for concurrent invocation.
+    Row c of both results depends on row c of theta alone, to the bit: the
+    sums over observations are row sums and bincounts over per-row offsets,
+    never a matrix product whose rounding could depend on C.  The
+    observations are held with the y = 1 rows last, so the log and the
+    gradient ratio of the transition branch run on those rows only.  Safe
+    for concurrent invocation.
     """
     layout = layout or ParamLayout.for_dataset(data)
     if layout.n_states != data.n_states or layout.n_pumps != data.n_pumps:
         raise ModelError("layout does not match dataset")
-    y_is_one = data.y == 1
-    log_dt = np.log(data.dt)
-    k_idx, pump_idx, x = data.k, data.pump, data.x
-    has_rows = len(data) > 0
-    has_covariates = layout.n_covariates > 0
-    n_states, n_pumps, dim = layout.n_states, layout.n_pumps, layout.dim
+    order = np.argsort(data.y, kind="stable")
+    n_zero = int(np.count_nonzero(data.y == 0))
+    n_obs = len(data)
+    n_states, n_cov, n_pumps, dim = (
+        layout.n_states, layout.n_covariates, layout.n_pumps, layout.dim
+    )
     beta_slice, u_slice = layout.beta_slice, layout.u_raw_slice
-    mu0, sd0 = priors.mu_log_lambda0, priors.sd_log_lambda0
-    var0, var_beta = sd0**2, priors.sd_beta**2
+    k, pump = data.k[order], data.pump[order]  # log_lambda0 is columns 0..K-1
+    log_dt = np.log(data.dt[order])
+    x_t = np.ascontiguousarray(data.x[order].T)  # (p, n)
+    center = layout.prior_center(priors)
+    # prior variance per column; the zeta column's own prior is added apart
+    prior_var = np.concatenate([
+        np.full(n_states, priors.sd_log_lambda0**2),
+        np.full(n_cov, priors.sd_beta**2),
+        np.ones(n_pumps),
+        [np.inf],
+    ])
     scale_u2 = priors.sigma_u_scale**2
     const = (
-        -n_states * (0.5 * _LOG_2PI + math.log(sd0))
-        - layout.n_covariates * (0.5 * _LOG_2PI + math.log(priors.sd_beta))
+        -n_states * (0.5 * _LOG_2PI + math.log(priors.sd_log_lambda0))
+        - n_cov * (0.5 * _LOG_2PI + math.log(priors.sd_beta))
         - 0.5 * n_pumps * _LOG_2PI
         + 0.5 * math.log(2.0 / math.pi)
         - math.log(priors.sigma_u_scale)
     )
+    bins: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def logp_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        log_lambda0 = theta[:n_states]
-        beta = theta[beta_slice]
-        u_raw = theta[u_slice]
-        zeta = theta[dim - 1]
-        sigma_u = math.exp(zeta)
+    def row_bins(c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat bincount indices of a batch of c rows: row r's bins follow row r-1's."""
+        if c not in bins:
+            rows = np.arange(c)[:, None]
+            bins[c] = ((rows * n_states + k).ravel(), (rows * n_pumps + pump).ravel())
+        return bins[c]
 
-        grad = np.empty(dim)
-        if has_rows:
-            eta = log_lambda0[k_idx] + u_raw[pump_idx] * sigma_u
-            if has_covariates:
-                eta = eta + x @ beta
-            lam_dt = np.exp(np.minimum(eta + log_dt, MAX_LOG_EXPOSURE))
-            exp_neg = np.exp(-lam_dt)
-            prob = np.maximum(-np.expm1(-lam_dt), PROB_FLOOR)
-            loglik = float(np.sum(np.where(y_is_one, np.log(prob), -lam_dt)))
-            g_eta = np.where(y_is_one, lam_dt * exp_neg / prob, -lam_dt)
-            grad[:n_states] = np.bincount(k_idx, weights=g_eta, minlength=n_states)
-            if has_covariates:
-                grad[beta_slice] = g_eta @ x
-            g_u = np.bincount(pump_idx, weights=g_eta, minlength=n_pumps)
-            grad[u_slice] = g_u * sigma_u
-            grad_zeta_lik = float(g_u @ u_raw) * sigma_u
-        else:
-            loglik = 0.0
-            grad[:] = 0.0
-            grad_zeta_lik = 0.0
+    def logp_and_grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = len(theta)
+        zeta = theta[:, dim - 1]
+        sigma_u = np.exp(zeta)
+        sigma_u2 = sigma_u**2 / scale_u2
+        deviation = theta - center
+        grad = deviation / prior_var
+        logp = const - 0.5 * np.add.reduce(deviation * grad, axis=1)
+        np.negative(grad, out=grad)
+        logp += zeta - 0.5 * sigma_u2
+        grad[:, dim - 1] = 1.0 - sigma_u2
+        if not n_obs:
+            return logp, grad
 
-        logp = loglik + const + zeta
-        logp -= 0.5 * float(np.sum((log_lambda0 - mu0) ** 2)) / var0
-        logp -= 0.5 * float(beta @ beta) / var_beta
-        logp -= 0.5 * float(u_raw @ u_raw)
-        logp -= 0.5 * sigma_u**2 / scale_u2
+        u = theta[:, u_slice] * sigma_u[:, None]
+        # np.take keeps the rows C-contiguous, so each row sum below runs
+        # over one contiguous row
+        eta = theta.take(k, axis=1)
+        eta += u.take(pump, axis=1)
+        for j in range(n_cov):
+            eta += theta[:, beta_slice.start + j, None] * x_t[j]
+        eta += log_dt
+        lam_dt = np.exp(np.minimum(eta, MAX_LOG_EXPOSURE, out=eta), out=eta)
+        # per-observation log-likelihood terms, then, in the same array,
+        # their derivatives in eta; both are -lam*dt on the y = 0 rows
+        g_eta = np.negative(lam_dt)
+        neg_lam_one = g_eta[:, n_zero:].copy()
+        prob = np.expm1(neg_lam_one)
+        np.maximum(np.negative(prob, out=prob), PROB_FLOOR, out=prob)
+        np.log(prob, out=g_eta[:, n_zero:])
+        logp += np.add.reduce(g_eta, axis=1)
+        np.exp(neg_lam_one, out=neg_lam_one)
+        np.multiply(lam_dt[:, n_zero:], neg_lam_one, out=g_eta[:, n_zero:])
+        g_eta[:, n_zero:] /= prob
 
-        grad[:n_states] -= (log_lambda0 - mu0) / var0
-        if has_covariates:
-            grad[beta_slice] -= beta / var_beta
-        grad[u_slice] -= u_raw
-        grad[dim - 1] = grad_zeta_lik - sigma_u**2 / scale_u2 + 1.0
+        k_bins, u_bins = row_bins(c)
+        g_eta = g_eta.ravel()
+        grad[:, :n_states] += np.bincount(k_bins, g_eta, c * n_states).reshape(c, n_states)
+        g_u = np.bincount(u_bins, g_eta, c * n_pumps).reshape(c, n_pumps)
+        grad[:, u_slice] += g_u * sigma_u[:, None]
+        grad[:, dim - 1] += np.add.reduce(g_u * u, axis=1)
+        if n_cov:
+            grad[:, beta_slice] += np.add.reduce(g_eta.reshape(c, 1, n_obs) * x_t, axis=2)
         return logp, grad
 
     return logp_and_grad

@@ -7,6 +7,12 @@ sampling over the trajectory.  Warmup combines dual-averaging step-size
 adaptation toward the target acceptance rate with diagonal mass-matrix
 estimation over expanding windows.  Chains are independent and owned by
 per-chain RNG streams, so results do not depend on scheduling.
+
+The trajectories are built iteratively, all chains of a group in lock-step
+(after NumPyro's iterative NUTS, Phan et al. 2019, and TFP's batched NUTS,
+Lao et al. 2020): every live chain is at the same leaf index, so the merges
+of finished subtrees -- a binary counter over that index -- are the same
+for all of them, and only the random draws and the stop masks are per chain.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import SamplerError
 
 ENERGY_ERROR_THRESHOLD = 1000.0  # divergence cutoff on the Hamiltonian error
 _INIT_RETRIES = 100
+_LOG_HALF = math.log(0.5)
 
 # dual averaging constants (Hoffman & Gelman)
 _DA_GAMMA = 0.05
@@ -38,6 +45,7 @@ _TERM_BUFFER = 50
 _BASE_WINDOW = 25
 
 TargetFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+BatchTargetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -91,123 +99,267 @@ class PosteriorSamples:
         return self.draws.reshape(-1, self.dim)
 
 
-class _Tree:
-    """End points, momentum sum, and running proposal of a trajectory."""
-
-    __slots__ = (
-        "theta_minus", "r_minus", "grad_minus", "logp_minus",
-        "theta_plus", "r_plus", "grad_plus", "logp_plus",
-        "rho", "prop_theta", "prop_logp", "prop_grad",
-        "log_weight", "stop", "alpha_sum", "n_alpha", "divergent",
-    )
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row inner products; row c does not depend on the other rows."""
+    return np.add.reduce(a * b, axis=1)
 
 
-def _leaf(theta, r, grad, logp, log_weight, stop, alpha, divergent) -> _Tree:
-    t = _Tree()
-    t.theta_minus = t.theta_plus = t.prop_theta = theta
-    t.r_minus = t.r_plus = r
-    t.grad_minus = t.grad_plus = t.prop_grad = grad
-    t.logp_minus = t.logp_plus = t.prop_logp = logp
-    t.rho = r.copy()
-    t.log_weight = log_weight
-    t.stop = stop
-    t.alpha_sum = alpha
-    t.n_alpha = 1
-    t.divergent = divergent
-    return t
+def _u_turn(rho: np.ndarray, sharp_a: np.ndarray, sharp_b: np.ndarray) -> np.ndarray:
+    """Rows whose momentum sum has a non-positive product with either end's
+    sharp momentum (fmin: a NaN product alone does not turn, as with ``or``)."""
+    return np.fmin(_row_dot(rho, sharp_a), _row_dot(rho, sharp_b)) <= 0.0
 
 
-def _kinetic(r: np.ndarray, inv_mass: np.ndarray) -> float:
-    return 0.5 * float(r @ (inv_mass * r))
+def _pick(mask: np.ndarray, a: tuple, b: tuple) -> tuple:
+    """Per array pair, rows of a where mask holds and of b elsewhere.
+
+    When the mask is all true or all false the arrays of a or b are
+    returned as they are, without a copy.
+    """
+    n_true = np.count_nonzero(mask)
+    if n_true == len(mask):
+        return a
+    if not n_true:
+        return b
+    column = mask[:, None]
+    return tuple(np.where(column if x.ndim == 2 else mask, x, y) for x, y in zip(a, b))
 
 
-def _leapfrog(target: TargetFn, theta, r, grad, eps, inv_mass):
-    r_half = r + 0.5 * eps * grad
-    theta_new = theta + eps * (inv_mass * r_half)
-    logp_new, grad_new = target(theta_new)
-    r_new = r_half + 0.5 * eps * grad_new
-    return theta_new, r_new, grad_new, logp_new
+def _energy_error(logp, r, half_inv_mass, energy0) -> tuple[np.ndarray, np.ndarray]:
+    """Hamiltonian error per row (non-finite reads +inf) and ``half_inv_mass * r``.
+
+    Halving is exact, so the row dot of r with the second result is the
+    kinetic energy, and its row dots with momentum sums keep the signs the
+    U-turn criterion tests.
+    """
+    r_sharp = half_inv_mass * r
+    d_energy = (_row_dot(r, r_sharp) - logp) - energy0
+    return np.where(np.isfinite(d_energy), d_energy, np.inf), r_sharp
 
 
-def _single_step(target, theta, r, grad, logp, v, eps, inv_mass, energy0) -> _Tree:
-    theta1, r1, grad1, logp1 = _leapfrog(target, theta, r, grad, v * eps, inv_mass)
-    d_energy = (-logp1 + _kinetic(r1, inv_mass)) - energy0
-    if not math.isfinite(d_energy):
-        d_energy = math.inf
-    divergent = d_energy > ENERGY_ERROR_THRESHOLD
-    alpha = math.exp(-d_energy) if d_energy > 0.0 else 1.0
-    return _leaf(theta1, r1, grad1, logp1, -d_energy, divergent, alpha, divergent)
+def _looped(target: TargetFn) -> BatchTargetFn:
+    """A plain theta -> (logp, grad) callable applied to each row in turn."""
+
+    def batched(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        results = [target(row) for row in theta]
+        return (
+            np.array([logp for logp, _ in results], float),
+            np.array([grad for _, grad in results], float),
+        )
+
+    return batched
 
 
-def _build_tree(target, tree_end, depth, v, eps, inv_mass, energy0, rng) -> _Tree:
-    """Extend the trajectory by a balanced subtree of 2**depth leapfrog steps."""
-    theta, r, grad, logp = tree_end
-    if depth == 0:
-        return _single_step(target, theta, r, grad, logp, v, eps, inv_mass, energy0)
-    first = _build_tree(target, tree_end, depth - 1, v, eps, inv_mass, energy0, rng)
-    if first.stop:
-        return first
-    if v == 1:
-        far_end = (first.theta_plus, first.r_plus, first.grad_plus, first.logp_plus)
-    else:
-        far_end = (first.theta_minus, first.r_minus, first.grad_minus, first.logp_minus)
-    second = _build_tree(target, far_end, depth - 1, v, eps, inv_mass, energy0, rng)
-    first.alpha_sum += second.alpha_sum
-    first.n_alpha += second.n_alpha
-    first.divergent |= second.divergent
-    if second.stop:
-        first.stop = True
-        return first
-    total = np.logaddexp(first.log_weight, second.log_weight)
-    # multinomial choice between the two equal-depth subtrees
-    if math.log(rng.random()) < second.log_weight - total:
-        first.prop_theta = second.prop_theta
-        first.prop_logp = second.prop_logp
-        first.prop_grad = second.prop_grad
-    first.log_weight = total
-    if v == 1:
-        first.theta_plus = second.theta_plus
-        first.r_plus = second.r_plus
-        first.grad_plus = second.grad_plus
-        first.logp_plus = second.logp_plus
-    else:
-        first.theta_minus = second.theta_minus
-        first.r_minus = second.r_minus
-        first.grad_minus = second.grad_minus
-        first.logp_minus = second.logp_minus
-    first.rho = first.rho + second.rho
-    first.stop = _u_turn(first.rho, first.r_minus, first.r_plus, inv_mass)
-    return first
+class _Chains:
+    """A group of chains moved through their iterations in lock-step.
 
+    Row c of every ``(C, dim)`` array belongs to chain c of the group.  The
+    chains start each iteration together; each step makes one leapfrog step
+    for every chain still extending its trajectory and calls the target
+    once, on those rows only.  Every chain draws from its own stream in the
+    order of the recursive algorithm -- momentum, direction, one draw per
+    subtree merge in post-order, the progressive draw -- so its draws do not
+    depend on which chains share its group.
+    """
 
-def _u_turn(rho, r_minus, r_plus, inv_mass) -> bool:
-    return (
-        float(rho @ (inv_mass * r_minus)) <= 0.0
-        or float(rho @ (inv_mass * r_plus)) <= 0.0
-    )
+    def __init__(self, target: BatchTargetFn, dim: int, rngs: list):
+        self.target = target
+        self.dim = dim
+        self.rngs = rngs
+        self.uniform = [rng.random for rng in rngs]
+        self.grad_evals = np.zeros(len(rngs), dtype=np.int64)
 
+    def _evaluate(self, theta: np.ndarray, live: np.ndarray, rows: np.ndarray | None):
+        """Target at the rows of theta where ``live`` holds; the others read 0.
 
-def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng) -> float:
-    """Double or halve eps until the one-step acceptance crosses 1/2."""
-    eps = 1.0
-    r = rng.standard_normal(len(theta)) / np.sqrt(inv_mass)
-    energy0 = -logp + _kinetic(r, inv_mass)
-    _, r1, _, logp1 = _leapfrog(target, theta, r, grad, eps, inv_mass)
-    d_energy = (-logp1 + _kinetic(r1, inv_mass)) - energy0
-    if not math.isfinite(d_energy):
-        d_energy = math.inf
-    direction = 1.0 if -d_energy > math.log(0.5) else -1.0
-    for _ in range(100):
-        if direction * (-d_energy) <= direction * math.log(0.5):
-            break
-        eps *= 2.0**direction
-        if not 1e-10 < eps < 1e10:
-            break
-        _, r1, _, logp1 = _leapfrog(target, theta, r, grad, eps, inv_mass)
-        d_energy = (-logp1 + _kinetic(r1, inv_mass)) - energy0
-        if not math.isfinite(d_energy):
-            d_energy = math.inf
-    return eps
+        ``rows`` lists those rows, or is None when every row is live.
+        """
+        if rows is None:
+            self.grad_evals += 1
+            return self.target(theta)
+        self.grad_evals += live
+        logp_rows, grad_rows = self.target(theta[rows])
+        logp, grad = np.zeros(len(theta)), np.zeros_like(theta)
+        logp[rows], grad[rows] = logp_rows, grad_rows
+        return logp, grad
+
+    def _leapfrog(self, theta, r, grad, step, half, inv_mass, live, rows=None):
+        """One leapfrog step per live row; ``step`` holds each row's step size
+        and ``half`` is ``0.5 * step``."""
+        r_half = r + half * grad
+        theta_new = theta + step * (inv_mass * r_half)
+        logp_new, grad_new = self._evaluate(theta_new, live, rows)
+        return theta_new, r_half + half * grad_new, grad_new, logp_new
+
+    def _choose(self, chains: list[int], log_ratio: np.ndarray) -> np.ndarray:
+        """Per chain in ``chains``: does the log of its next uniform fall below its log ratio."""
+        ratio = log_ratio.tolist()
+        chosen = [math.log(self.uniform[c]()) < ratio[c] for c in chains]
+        if len(chains) == len(ratio):
+            return np.array(chosen)
+        take = np.zeros(len(ratio), bool)
+        take[chains] = chosen
+        return take
+
+    def init_point(self, center: np.ndarray | None):
+        n, dim = len(self.rngs), self.dim
+        theta, logp, grad = np.empty((n, dim)), np.empty(n), np.empty((n, dim))
+        pending = np.arange(n)
+        for _ in range(_INIT_RETRIES):
+            trial = np.stack([self.rngs[c].uniform(-1.0, 1.0, dim) for c in pending])
+            if center is not None:
+                trial = trial + center
+            self.grad_evals[pending] += 1
+            trial_logp, trial_grad = self.target(trial)
+            trial_logp = np.asarray(trial_logp, float)
+            trial_grad = np.asarray(trial_grad, float)
+            if trial_grad.shape != trial.shape:
+                raise SamplerError(
+                    f"target gradient has shape {trial_grad.shape}, "
+                    f"expected rows of length {dim}"
+                )
+            if trial_logp.shape != (len(trial),):
+                raise SamplerError(
+                    f"target log density has shape {trial_logp.shape}, "
+                    f"expected ({len(trial)},)"
+                )
+            ok = np.isfinite(trial_logp) & np.all(np.isfinite(trial_grad), axis=1)
+            theta[pending[ok]] = trial[ok]
+            logp[pending[ok]] = trial_logp[ok]
+            grad[pending[ok]] = trial_grad[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                return theta, logp, grad
+        raise SamplerError(
+            f"non-finite target density at initialization after {_INIT_RETRIES} retries"
+        )
+
+    def find_reasonable_epsilon(self, theta, logp, grad, inv_mass) -> np.ndarray:
+        """Per chain, double or halve eps until the one-step acceptance crosses 1/2."""
+        n = len(theta)
+        eps = np.ones(n)
+        half_inv_mass = 0.5 * inv_mass
+        r = np.stack([rng.standard_normal(self.dim) for rng in self.rngs]) / np.sqrt(inv_mass)
+        energy0 = _row_dot(r, half_inv_mass * r) - logp
+        searching = np.ones(n, bool)
+        step = eps[:, None]
+        _, r1, _, logp1 = self._leapfrog(theta, r, grad, step, 0.5 * step, inv_mass, searching)
+        d_energy, _ = _energy_error(logp1, r1, half_inv_mass, energy0)
+        direction = np.where(-d_energy > _LOG_HALF, 1.0, -1.0)
+        for _ in range(100):
+            searching &= direction * -d_energy > direction * _LOG_HALF
+            eps = np.where(searching, eps * 2.0**direction, eps)
+            searching &= (1e-10 < eps) & (eps < 1e10)
+            rows = np.flatnonzero(searching)
+            if not rows.size:
+                break
+            step = eps[:, None]
+            _, r1, _, logp1 = self._leapfrog(
+                theta, r, grad, step, 0.5 * step, inv_mass, searching,
+                None if rows.size == n else rows,
+            )
+            d_new, _ = _energy_error(logp1, r1, half_inv_mass, energy0)
+            d_energy = np.where(searching, d_new, d_energy)
+        return eps
+
+    def transition(self, theta, logp, grad, eps, inv_mass, max_depth):
+        """One NUTS iteration of every chain.
+
+        Returns the new points, log-densities and gradients, and per chain
+        the acceptance statistic, the divergence flag and the tree depth.
+        Each momentum r is kept with its sharp form ``0.5 * inv_mass * r``
+        (see ``_energy_error``).
+        """
+        n, dim = theta.shape
+        half_inv_mass = 0.5 * inv_mass
+        evals_before = self.grad_evals.copy()
+        r0 = np.stack([rng.standard_normal(dim) for rng in self.rngs]) / np.sqrt(inv_mass)
+        r0_sharp = half_inv_mass * r0
+        energy0 = _row_dot(r0, r0_sharp) - logp
+        # the trajectory: (theta, r, grad, sharp r) at both ends, the
+        # momentum sum, the proposal and the log of the summed weights
+        plus = minus = (theta, r0, grad, r0_sharp)
+        rho, prop, log_weight = r0, (theta, logp, grad), np.zeros(n)
+        alpha_sum = np.zeros(n)
+        divergent = np.zeros(n, bool)
+        depth = np.zeros(n, dtype=np.int64)
+        extending = np.ones(n, bool)
+        for d in range(max_depth):
+            chains = np.flatnonzero(extending).tolist()
+            if not chains:
+                break
+            forward = np.zeros(n, bool)
+            forward[chains] = [self.uniform[c]() < 0.5 for c in chains]
+            x, r, g = _pick(forward, plus[:3], minus[:3])
+            step = np.where(forward, eps, -eps)[:, None].repeat(dim, axis=1)
+            half = 0.5 * step
+            live = extending.copy()
+            rows = None if len(chains) == n else np.array(chains)
+            # subtree of 2**d leaves; pending[l] holds the finished level-l
+            # subtree that waits for its right sibling
+            pending: list = [None] * d
+            for leaf in range(2**d):
+                x, r, g, lp = self._leapfrog(x, r, g, step, half, inv_mass, live, rows)
+                d_energy, r_sharp = _energy_error(lp, r, half_inv_mass, energy0)
+                stop = d_energy > ENERGY_ERROR_THRESHOLD
+                if rows is not None:
+                    stop &= live
+                stopped = np.count_nonzero(stop)
+                if stopped:
+                    divergent |= stop
+                lw = -d_energy
+                alpha = np.exp(np.minimum(lw, 0.0))
+                sub_rho, first_sharp, sub_prop = r, r_sharp, (x, lp, g)
+                level = 0
+                while leaf >> level & 1:  # merges in post-order: the trailing ones
+                    p_lw, p_alpha, p_rho, p_sharp, p_prop = pending[level]
+                    alpha = p_alpha + alpha
+                    merging = live & ~stop if stopped else live
+                    total = np.logaddexp(p_lw, lw)
+                    take = self._choose(
+                        np.flatnonzero(merging).tolist() if stopped else chains, lw - total
+                    )
+                    sub_prop = _pick(take, sub_prop, p_prop)
+                    lw = total
+                    sub_rho = p_rho + sub_rho
+                    first_sharp = p_sharp
+                    stop = stop | (merging & _u_turn(sub_rho, first_sharp, r_sharp))
+                    stopped = np.count_nonzero(stop)
+                    level += 1
+                if level < d:
+                    pending[level] = (lw, alpha, sub_rho, first_sharp, sub_prop)
+                if stopped:
+                    # a stopped subtree ends the doubling; its weight joins
+                    # the subtrees still waiting above it
+                    for above in range(level + 1, d):
+                        if leaf >> above & 1:
+                            alpha = pending[above][1] + alpha
+                    alpha_sum = np.where(stop, alpha_sum + alpha, alpha_sum)
+                    going = ~stop
+                    live &= going
+                    extending &= going
+                    rows = np.flatnonzero(live)
+                    chains = rows.tolist()
+                    if not chains:
+                        break
+            if not chains:
+                continue
+            # biased progressive sampling toward the new subtree
+            take = self._choose(chains, lw - log_weight)
+            prop = _pick(take, sub_prop, prop)
+            alpha_sum, log_weight, rho = _pick(
+                live,
+                (alpha_sum + alpha, np.logaddexp(log_weight, lw), rho + sub_rho),
+                (alpha_sum, log_weight, rho),
+            )
+            end = (x, r, g, r_sharp)
+            plus = _pick(live & forward, end, plus)
+            minus = _pick(live & ~forward, end, minus)
+            extending = live & ~_u_turn(rho, minus[3], plus[3])
+            depth += extending
+        # every leaf of a chain's trajectory is one of its target evaluations
+        accept_stat = alpha_sum / np.maximum(self.grad_evals - evals_before, 1)
+        return (*prop, accept_stat, divergent, depth)
 
 
 def _mass_windows(n_tune: int) -> list[tuple[int, int]]:
@@ -228,126 +380,63 @@ def _mass_windows(n_tune: int) -> list[tuple[int, int]]:
 
 
 class _DualAveraging:
-    """Step-size adaptation toward the target acceptance statistic."""
+    """Step-size adaptation toward the target acceptance statistic, per chain."""
 
-    def __init__(self, eps0: float, target_accept: float):
-        self.mu = math.log(10.0 * eps0)
+    def __init__(self, eps0: np.ndarray, target_accept: float):
+        self.mu = np.log(10.0 * eps0)
         self.target = target_accept
-        self.log_eps = math.log(eps0)
-        self.log_eps_bar = math.log(eps0)
-        self.h_bar = 0.0
+        self.log_eps = np.log(eps0)
+        self.log_eps_bar = self.log_eps
+        self.h_bar = np.zeros(len(eps0))
         self.count = 0
 
-    def update(self, accept_stat: float) -> float:
+    def update(self, accept_stat: np.ndarray) -> np.ndarray:
         self.count += 1
         m = self.count
-        self.h_bar += ((self.target - accept_stat) - self.h_bar) / (m + _DA_T0)
+        self.h_bar = self.h_bar + ((self.target - accept_stat) - self.h_bar) / (m + _DA_T0)
         self.log_eps = self.mu - math.sqrt(m) / _DA_GAMMA * self.h_bar
         w = m**-_DA_KAPPA
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
-        return math.exp(self.log_eps)
+        return np.exp(self.log_eps)
 
     @property
-    def adapted(self) -> float:
-        return math.exp(self.log_eps_bar)
-
-
-def _init_point(
-    target: TargetFn, dim: int, rng, center: np.ndarray | None
-) -> tuple[np.ndarray, float, np.ndarray]:
-    for _ in range(_INIT_RETRIES):
-        theta = rng.uniform(-1.0, 1.0, dim)
-        if center is not None:
-            theta = theta + center
-        logp, grad = target(theta)
-        grad = np.asarray(grad, float)
-        if grad.shape != (dim,):
-            raise SamplerError(
-                f"target gradient has length {grad.shape}, expected ({dim},)"
-            )
-        if math.isfinite(logp) and np.all(np.isfinite(grad)):
-            return theta, logp, grad
-    raise SamplerError(
-        f"non-finite target density at initialization after {_INIT_RETRIES} retries"
-    )
+    def adapted(self) -> np.ndarray:
+        return np.exp(self.log_eps_bar)
 
 
 # unstable warmup trajectories may overflow intermediates; non-finite
 # energies are detected and treated as divergences, so keep numpy quiet
 @np.errstate(over="ignore", invalid="ignore")
-def _run_chain(
-    target: TargetFn,
+def _run_chains(
+    target: BatchTargetFn,
     dim: int,
     config: SamplerConfig,
-    chain_index: int,
+    chains: np.ndarray,
     init_center: np.ndarray | None,
-):
-    rng = rng_mod.stream(config.seed, rng_mod.KEY_CHAIN, chain_index)
-    grad_evals = 0
-
-    def counted(theta):
-        nonlocal grad_evals
-        grad_evals += 1
-        return target(theta)
-
-    theta, logp, grad = _init_point(counted, dim, rng, init_center)
-    inv_mass = np.ones(dim)
-    eps = _find_reasonable_epsilon(counted, theta, logp, grad, inv_mass, rng)
+) -> dict[str, np.ndarray]:
+    group = _Chains(
+        target, dim, [rng_mod.stream(config.seed, rng_mod.KEY_CHAIN, int(c)) for c in chains]
+    )
+    n = len(chains)
+    theta, logp, grad = group.init_point(init_center)
+    inv_mass = np.ones((n, dim))
+    eps = group.find_reasonable_epsilon(theta, logp, grad, inv_mass)
     adapt = _DualAveraging(eps, config.target_accept)
     windows = _mass_windows(config.n_tune)
     window_idx = 0
     window_draws: list[np.ndarray] = []
 
     n_total = config.n_tune + config.n_draws
-    draws = np.empty((config.n_draws, dim))
-    divergences = 0
-    max_depth_hits = 0
-    accept_accum = 0.0
+    draws = np.empty((n, config.n_draws, dim))
+    divergences = np.zeros(n, dtype=np.int64)
+    max_depth_hits = np.zeros(n, dtype=np.int64)
+    accept_accum = np.zeros(n)
 
     for it in range(n_total):
         warmup = it < config.n_tune
-        r0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
-        energy0 = -logp + _kinetic(r0, inv_mass)
-        tree = _leaf(theta, r0, grad, logp, 0.0, False, 1.0, False)
-        tree.alpha_sum = 0.0
-        tree.n_alpha = 0
-        depth = 0
-        while depth < config.max_tree_depth and not tree.stop:
-            v = 1 if rng.random() < 0.5 else -1
-            if v == 1:
-                end = (tree.theta_plus, tree.r_plus, tree.grad_plus, tree.logp_plus)
-            else:
-                end = (tree.theta_minus, tree.r_minus, tree.grad_minus, tree.logp_minus)
-            sub = _build_tree(counted, end, depth, v, eps, inv_mass, energy0, rng)
-            tree.alpha_sum += sub.alpha_sum
-            tree.n_alpha += sub.n_alpha
-            tree.divergent |= sub.divergent
-            if sub.stop:
-                break
-            # biased progressive sampling toward the new subtree
-            if math.log(rng.random()) < sub.log_weight - tree.log_weight:
-                tree.prop_theta = sub.prop_theta
-                tree.prop_logp = sub.prop_logp
-                tree.prop_grad = sub.prop_grad
-            tree.log_weight = np.logaddexp(tree.log_weight, sub.log_weight)
-            if v == 1:
-                tree.theta_plus = sub.theta_plus
-                tree.r_plus = sub.r_plus
-                tree.grad_plus = sub.grad_plus
-                tree.logp_plus = sub.logp_plus
-            else:
-                tree.theta_minus = sub.theta_minus
-                tree.r_minus = sub.r_minus
-                tree.grad_minus = sub.grad_minus
-                tree.logp_minus = sub.logp_minus
-            tree.rho = tree.rho + sub.rho
-            if _u_turn(tree.rho, tree.r_minus, tree.r_plus, inv_mass):
-                break
-            depth += 1
-
-        theta, logp, grad = tree.prop_theta, tree.prop_logp, tree.prop_grad
-        accept_stat = tree.alpha_sum / max(tree.n_alpha, 1)
-
+        theta, logp, grad, accept_stat, divergent, depth = group.transition(
+            theta, logp, grad, eps, inv_mass, config.max_tree_depth
+        )
         if warmup:
             eps = adapt.update(accept_stat)
             if window_idx < len(windows):
@@ -360,59 +449,67 @@ def _run_chain(
                     var = (
                         sample_arr.var(axis=0, ddof=1)
                         if n_w > 1
-                        else np.ones(dim)
+                        else np.ones((n, dim))
                     )
                     # regularize toward unit variance
                     inv_mass = (n_w / (n_w + 5.0)) * var + (5.0 / (n_w + 5.0))
                     window_draws = []
                     window_idx += 1
-                    eps = _find_reasonable_epsilon(
-                        counted, theta, logp, grad, inv_mass, rng
-                    )
+                    eps = group.find_reasonable_epsilon(theta, logp, grad, inv_mass)
                     adapt = _DualAveraging(eps, config.target_accept)
             if it == config.n_tune - 1:
                 eps = adapt.adapted
         else:
-            draws[it - config.n_tune] = theta
-            divergences += tree.divergent
+            draws[:, it - config.n_tune] = theta
+            divergences += divergent
             max_depth_hits += depth == config.max_tree_depth
             accept_accum += accept_stat
 
     return {
         "draws": draws,
         "divergences": divergences,
-        "step_size": eps,
-        "accept_mean": accept_accum / config.n_draws,
-        "grad_evals": grad_evals,
+        "step_sizes": eps,
+        "accept_means": accept_accum / config.n_draws,
+        "grad_evals": group.grad_evals,
         "max_depth_hits": max_depth_hits,
     }
 
 
 def sample(
-    logp_and_grad: TargetFn,
+    logp_and_grad: TargetFn | BatchTargetFn,
     dim: int,
     config: SamplerConfig,
     init_center: np.ndarray | None = None,
+    *,
+    batched: bool = False,
 ) -> PosteriorSamples:
     """Run ``config.n_chains`` independent NUTS chains on the target.
 
+    A plain target maps theta (dim,) to (logp, grad) and is called once per
+    row; with ``batched=True`` it maps theta (C, dim) to (logp (C,), grad
+    (C, dim)), and row c of its result must not depend on the other rows.
     Chains start uniform in [-1, 1] per coordinate around ``init_center``
     (origin by default); pass the prior location for targets whose mass sits
-    far from the origin.  Chain c uses the RNG stream (seed, chain-key, c);
-    outputs are identical whether chains run sequentially or in parallel
-    worker processes.
+    far from the origin.  Chain c uses the RNG stream (seed, chain-key, c).
+    The chains run in lock-step, in one contiguous group per worker process
+    (``config.threads``); outputs are identical however they are grouped.
     """
     if init_center is not None:
         init_center = np.asarray(init_center, float)
         if init_center.shape != (dim,):
             raise SamplerError(f"init_center must have shape ({dim},)")
-    results = rng_mod.map_replicas(
-        lambda c: _run_chain(logp_and_grad, dim, config, c, init_center),
-        config.n_chains,
+    target = logp_and_grad if batched else _looped(logp_and_grad)
+    groups = np.array_split(
+        np.arange(config.n_chains), rng_mod.worker_count(config.threads, config.n_chains)
+    )
+    parts = rng_mod.map_replicas(
+        lambda g: _run_chains(target, dim, config, groups[g], init_center),
+        len(groups),
         config.threads,
     )
+    results = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
-    draws = np.stack([r["draws"] for r in results])
+    draws = results.pop("draws")
     if config.n_draws >= 4:
         rhat = np.array([split_rhat(draws[:, :, j]) for j in range(dim)])
     else:
@@ -421,16 +518,7 @@ def sample(
         ess_bulk = np.array([ess(draws[:, :, j]) for j in range(dim)])
     else:
         ess_bulk = np.full(dim, np.nan)
-    return PosteriorSamples(
-        draws=draws,
-        divergences=np.array([r["divergences"] for r in results]),
-        step_sizes=np.array([r["step_size"] for r in results]),
-        accept_means=np.array([r["accept_mean"] for r in results]),
-        grad_evals=np.array([r["grad_evals"] for r in results]),
-        max_depth_hits=np.array([r["max_depth_hits"] for r in results]),
-        rhat=rhat,
-        ess_bulk=ess_bulk,
-    )
+    return PosteriorSamples(draws=draws, rhat=rhat, ess_bulk=ess_bulk, **results)
 
 
 def write_draws_csv(

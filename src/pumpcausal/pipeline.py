@@ -263,7 +263,11 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         layout = ParamLayout.for_dataset(build.dataset)
         target = make_logp_and_grad(build.dataset, layout)
         samples = sample(
-            target, layout.dim, cfg.sampler_config(), init_center=layout.prior_center()
+            target,
+            layout.dim,
+            cfg.sampler_config(),
+            init_center=layout.prior_center(),
+            batched=True,
         )
         names = layout.names()
         write_draws_csv(samples, names, cfg.path("draws"))
@@ -317,6 +321,8 @@ def run_features(cfg: PipelineConfig) -> None:
     with _stage_guard("features"):
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         series = data_mod.ingest_timeseries(cfg.timeseries_path())
+        if not series:
+            raise DataError(f"{cfg.timeseries_path()}: no series to extract features from")
         window_end = cfg.feature_window_end
         if window_end is None:
             window_end = min(s.end_day - 1 for s in series)

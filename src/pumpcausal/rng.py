@@ -10,9 +10,9 @@ platforms and independent of thread or process scheduling:
     ICA init          stream(seed, KEY_ICA)
     bootstrap b       stream(seed, KEY_BOOTSTRAP, b)
 
-Replicas that own such streams (chains, blocks of bootstrap resamples) run
-through ``map_replicas``, serially or in worker processes, with the same
-results.
+Replicas that own such streams (groups of lock-step chains, blocks of
+bootstrap resamples) run through ``map_replicas``, serially or in worker
+processes, with the same results.
 """
 
 from __future__ import annotations
@@ -46,14 +46,19 @@ def _call_replica(index: int):
     return _REPLICA_FN(index)
 
 
+def worker_count(threads: int | None, n: int) -> int:
+    """Workers for n replicas: ``threads`` (None = all cores), between 1 and n."""
+    return max(1, min(threads if threads is not None else (os.cpu_count() or 1), n))
+
+
 def map_replicas(fn: Callable[[int], object], n: int, threads: int | None) -> list:
     """Return ``[fn(0), ..., fn(n - 1)]``.
 
-    Runs in a fork pool of ``threads`` workers (None = all cores) when more
+    Runs in a fork pool of ``worker_count(threads, n)`` workers when more
     than one applies and the platform can fork, else in a plain loop.
     """
     global _REPLICA_FN
-    n_workers = max(1, min(threads if threads is not None else (os.cpu_count() or 1), n))
+    n_workers = worker_count(threads, n)
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(i) for i in range(n)]
     _REPLICA_FN = fn

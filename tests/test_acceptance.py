@@ -18,6 +18,7 @@ from oracles import (
     brute_force_features,
     finite_difference_gradient,
     ks_statistic,
+    log_posterior_unconstrained,
     standard_normal_cdf,
 )
 import pumpcausal.rng as rng_mod
@@ -25,12 +26,7 @@ from pumpcausal.data import Dataset
 from pumpcausal.diagnostics import extract_random_effects
 from pumpcausal.features import FEATURE_NAMES, window_features
 from pumpcausal.grouping import Group, GroupDataset, assign_groups, build_group_datasets
-from pumpcausal.hazard import (
-    ParamLayout,
-    grad_log_posterior,
-    log_posterior_unconstrained,
-    make_logp_and_grad,
-)
+from pumpcausal.hazard import ParamLayout, grad_log_posterior, make_logp_and_grad
 from pumpcausal.lingam import (
     LingamConfig,
     bootstrap_cis,
@@ -147,7 +143,11 @@ def _fit_synthetic(seed: int):
     layout = ParamLayout.for_dataset(synthesis.dataset)
     target = make_logp_and_grad(synthesis.dataset, layout)
     samples = sample(
-        target, layout.dim, SamplerConfig(seed=seed), init_center=layout.prior_center()
+        target,
+        layout.dim,
+        SamplerConfig(seed=seed),
+        init_center=layout.prior_center(),
+        batched=True,
     )
     return synthesis, layout, samples
 

@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_difference_gradient
-from pumpcausal.data import Dataset
-from pumpcausal.errors import ModelError
-from pumpcausal.hazard import (
+from oracles import (
     ModelParams,
-    ParamLayout,
-    grad_log_posterior,
+    finite_difference_gradient,
     hazard_rate,
     log_likelihood,
     log_posterior_unconstrained,
     log_prior,
-    make_logp_and_grad,
     transition_prob,
+    unpack,
 )
+from pumpcausal.data import Dataset
+from pumpcausal.errors import ModelError
+from pumpcausal.hazard import ParamLayout, grad_log_posterior, make_logp_and_grad
 
 
 def _dataset(observations, n_pumps, n_states=8, n_covariates=0):
@@ -169,7 +168,7 @@ class TestUnconstrainedPosterior:
         layout = ParamLayout.for_dataset(data)
         rng = np.random.default_rng(1)
         theta = rng.normal(0, 0.5, layout.dim)
-        params = layout.unpack(theta)
+        params = unpack(layout, theta)
         zeta = theta[layout.zeta_index]
         expected = log_likelihood(params, data) + log_prior(params) + zeta
         assert log_posterior_unconstrained(theta, data, layout) == pytest.approx(
@@ -198,11 +197,47 @@ class TestUnconstrainedPosterior:
         layout = ParamLayout.for_dataset(data)
         target = make_logp_and_grad(data, layout)
         theta = np.random.default_rng(4).normal(0, 0.7, layout.dim)
-        logp, grad = target(theta)
-        assert logp == pytest.approx(
+        logp, grad = target(theta[None])
+        assert logp.shape == (1,) and grad.shape == (1, layout.dim)
+        assert logp[0] == pytest.approx(
             log_posterior_unconstrained(theta, data, layout), rel=1e-12
         )
-        np.testing.assert_allclose(grad, grad_log_posterior(theta, data, layout), rtol=1e-12)
+        np.testing.assert_array_equal(grad[0], grad_log_posterior(theta, data, layout))
+
+
+class TestBatchedTarget:
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_rows_independent_of_batch(self, p):
+        # row c of a batch equals a (1, dim) call bit for bit, whatever C is,
+        # and the scalar log-posterior to 1e-12
+        rng = np.random.default_rng(8 + p)
+        data = _random_dataset(rng, n_pumps=5, p=p, n_obs=120)
+        layout = ParamLayout.for_dataset(data)
+        target = make_logp_and_grad(data, layout)
+        for c_rows in (1, 3, 8):
+            theta = rng.normal(0.0, 0.7, (c_rows, layout.dim))
+            theta[:, layout.log_lambda0_slice] -= 4.5
+            logp, grad = target(theta)
+            assert logp.shape == (c_rows,) and grad.shape == (c_rows, layout.dim)
+            for c in range(c_rows):
+                logp_one, grad_one = target(theta[c : c + 1])
+                assert logp_one[0] == logp[c]
+                np.testing.assert_array_equal(grad_one[0], grad[c])
+                assert logp[c] == pytest.approx(
+                    log_posterior_unconstrained(theta[c], data, layout), rel=1e-12
+                )
+
+    def test_all_or_no_transitions(self):
+        # the y = 1 rows are held apart; either block may be empty
+        for y in (0, 1):
+            data = _dataset([_obs(0, 1, 20.0, y), _obs(1, 2, 35.0, y)], n_pumps=2)
+            layout = ParamLayout.for_dataset(data)
+            theta = np.random.default_rng(y).normal(-1.0, 0.5, (2, layout.dim))
+            logp, _ = make_logp_and_grad(data, layout)(theta)
+            for c in range(2):
+                assert logp[c] == pytest.approx(
+                    log_posterior_unconstrained(theta[c], data, layout), rel=1e-12
+                )
 
 
 def _random_dataset(rng, n_pumps=3, n_states=8, p=0, n_obs=None):

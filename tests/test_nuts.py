@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ks_statistic, standard_normal_cdf
+from oracles import ks_statistic, nuts_chain_serial, standard_normal_cdf
 from pumpcausal.diagnostics import (
     RandomEffectEstimate,
     ess,
@@ -15,7 +15,8 @@ from pumpcausal.diagnostics import (
     split_rhat,
 )
 from pumpcausal.errors import SamplerError
-from pumpcausal.hazard import ParamLayout
+from pumpcausal.data import Dataset
+from pumpcausal.hazard import ParamLayout, make_logp_and_grad
 from pumpcausal.nuts import (
     PosteriorSamples,
     SamplerConfig,
@@ -28,6 +29,53 @@ from pumpcausal.nuts import (
 
 def normal_target(theta):
     return -0.5 * float(theta @ theta), -theta
+
+
+_PRECISION = np.linalg.inv(np.array([[1.0, 0.9], [0.9, 1.0]]))
+
+
+def correlated_target(theta):
+    return -0.5 * float(theta @ _PRECISION @ theta), -(_PRECISION @ theta)
+
+
+def funnel_target(theta):
+    """Neal's funnel in 5 dimensions: its neck makes trajectories diverge."""
+    v, x = theta[0], theta[1:]
+    scale = math.exp(-v)
+    grad = np.empty_like(theta)
+    grad[0] = -v / 9.0 + 0.5 * float(x @ x) * scale - 0.5 * len(x)
+    grad[1:] = -x * scale
+    return -v * v / 18.0 - 0.5 * float(x @ x) * scale - 0.5 * len(x) * v, grad
+
+
+def _hazard_problem(seed=0, n_pumps=6, n_obs=60):
+    rng = np.random.default_rng(seed)
+    rows = [
+        (
+            int(rng.integers(0, n_pumps)),
+            int(rng.integers(1, 8)),
+            float(rng.uniform(5.0, 120.0)),
+            int(rng.integers(0, 2)),
+            np.empty(0),
+        )
+        for _ in range(n_obs)
+    ]
+    data = Dataset.from_rows(rows, n_pumps, 8, 0)
+    layout = ParamLayout.for_dataset(data)
+    return make_logp_and_grad(data, layout), layout
+
+
+def _one_row(batched_target):
+    """The batched target as a plain theta -> (logp, grad) callable."""
+
+    def target(theta):
+        logp, grad = batched_target(theta[None])
+        return logp[0], grad[0]
+
+    return target
+
+
+_PER_CHAIN = ("draws", "divergences", "step_sizes", "accept_means", "grad_evals", "max_depth_hits")
 
 
 class TestSplitRhat:
@@ -175,6 +223,17 @@ class TestSample:
             sample(normal_target, 1, forked).draws,
         )
 
+    def test_parallel_groups_match_one_group(self):
+        # threads=2 runs chains {0, 1} and {2} as two lock-step groups
+        target, layout = _hazard_problem()
+        serial = SamplerConfig(n_draws=20, n_tune=30, n_chains=3, seed=6, threads=1)
+        forked = SamplerConfig(n_draws=20, n_tune=30, n_chains=3, seed=6, threads=2)
+        center = layout.prior_center()
+        a = sample(target, layout.dim, serial, init_center=center, batched=True)
+        b = sample(target, layout.dim, forked, init_center=center, batched=True)
+        for name in _PER_CHAIN:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_nonfinite_initialization_raises(self):
         def bad_target(theta):
             return -math.inf, np.zeros_like(theta)
@@ -256,3 +315,97 @@ class TestExports:
         hits = [c["max_tree_depth_hits"] for c in chains]
         assert all(0 < h <= config.n_draws for h in hits)
         assert payload["data"] == {"n_transitions": 7}
+
+
+class TestLockStep:
+    """The lock-step sampler against the recursive one, and batching."""
+
+    @pytest.mark.parametrize(
+        "case", ["correlated", "hazard", "depth_one", "divergent"]
+    )
+    def test_matches_serial_oracle(self, case):
+        config = SamplerConfig(n_draws=40, n_tune=160, n_chains=4, seed=3, threads=1)
+        center = None
+        if case == "correlated":
+            target, dim = correlated_target, 2
+        elif case == "hazard":
+            batched, layout = _hazard_problem()
+            target, dim, center = _one_row(batched), layout.dim, layout.prior_center()
+        elif case == "depth_one":
+            target, dim = correlated_target, 2
+            config = SamplerConfig(
+                n_draws=40, n_tune=160, n_chains=4, seed=4, threads=1, max_tree_depth=1
+            )
+        else:
+            target, dim = funnel_target, 5
+            config = SamplerConfig(n_draws=100, n_tune=200, n_chains=4, seed=5, threads=1)
+        samples = sample(target, dim, config, init_center=center)
+        serial = [
+            nuts_chain_serial(target, dim, config, c, center) for c in range(config.n_chains)
+        ]
+        np.testing.assert_array_equal(samples.draws, np.stack([r["draws"] for r in serial]))
+        for name, key in [
+            ("divergences", "divergences"),
+            ("step_sizes", "step_size"),
+            ("accept_means", "accept_mean"),
+            ("grad_evals", "grad_evals"),
+            ("max_depth_hits", "max_depth_hits"),
+        ]:
+            np.testing.assert_array_equal(getattr(samples, name), [r[key] for r in serial])
+        if case == "depth_one":
+            assert samples.max_depth_hits.min() > 0
+        if case == "divergent":
+            assert samples.divergences.sum() > 0
+
+    def test_chain_does_not_depend_on_its_batch(self):
+        target, layout = _hazard_problem(seed=1)
+        center = layout.prior_center()
+        alone = sample(
+            target, layout.dim,
+            SamplerConfig(n_draws=30, n_tune=120, n_chains=1, seed=8, threads=1),
+            init_center=center, batched=True,
+        )
+        batch = sample(
+            target, layout.dim,
+            SamplerConfig(n_draws=30, n_tune=120, n_chains=8, seed=8, threads=1),
+            init_center=center, batched=True,
+        )
+        for name in _PER_CHAIN:
+            np.testing.assert_array_equal(getattr(alone, name)[0], getattr(batch, name)[0])
+
+    def test_batched_equals_looped(self):
+        target, layout = _hazard_problem(seed=2)
+        config = SamplerConfig(n_draws=30, n_tune=120, n_chains=4, seed=9, threads=1)
+        center = layout.prior_center()
+        batched = sample(target, layout.dim, config, init_center=center, batched=True)
+        looped = sample(_one_row(target), layout.dim, config, init_center=center)
+        for name in (*_PER_CHAIN, "rhat", "ess_bulk"):
+            np.testing.assert_array_equal(getattr(batched, name), getattr(looped, name))
+
+    def test_grad_evals_count_rows_not_calls(self, tmp_path):
+        target, layout = _hazard_problem(seed=3)
+        calls, rows = [], []
+
+        def counted(theta):
+            calls.append(1)
+            rows.append(len(theta))
+            return target(theta)
+
+        config = SamplerConfig(n_draws=20, n_tune=40, n_chains=4, seed=10, threads=1)
+        samples = sample(
+            counted, layout.dim, config, init_center=layout.prior_center(), batched=True
+        )
+        path = tmp_path / "diag.json"
+        write_diagnostics_json(samples, layout.names(), path)
+        chains = json.loads(path.read_text())["chains"]
+        assert sum(c["n_grad_evals"] for c in chains) == sum(rows)
+        assert sum(rows) > len(calls)
+        assert max(c["n_grad_evals"] for c in chains) <= len(calls)
+
+    def test_batched_gradient_shape_checked(self):
+        def wrong_rows(theta):
+            return np.zeros(len(theta)), np.zeros((len(theta), 1))
+
+        config = SamplerConfig(n_draws=10, n_tune=10, n_chains=2, seed=0, threads=1)
+        with pytest.raises(SamplerError, match="length"):
+            sample(wrong_rows, 2, config, batched=True)

@@ -327,6 +327,25 @@ class TestPipelineFailure:
         assert json.loads((out / "timings.json").read_text()) == {"failed_stage": "fit"}
 
 
+class TestFeaturesCommand:
+    def test_header_only_series_is_stage_failure(self, tmp_path):
+        inspections = tmp_path / "inspections.csv"
+        timeseries = tmp_path / "timeseries.csv"
+        inspections.write_text("pump,day,state\nP1,0,1\n")
+        timeseries.write_text("pump_id,day,value\n")
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(
+            f"[pipeline]\nout_dir = {out}\nsource = files\n"
+            f"inspections = {inspections}\ntimeseries = {timeseries}\n"
+        )
+        result = CliRunner().invoke(main, ["--config", str(config_path), "features"])
+        assert result.exit_code == 2, result.output
+        assert "[features]" in result.output
+        assert str(timeseries) in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestDiscoverSkipsSmallGroups:
     def test_small_group_recorded_not_fatal(self, tmp_path):
         # 22 active features need 24 members; 25 pumps split two ways cannot

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ModelParams, log_likelihood
 from pumpcausal.data import write_inspections_csv, write_timeseries_csv
 from pumpcausal.errors import ConfigError
-from pumpcausal.hazard import ModelParams, log_likelihood
 from pumpcausal.synth import (
     SynthConfig,
     generate_hazard_data,
