@@ -4,7 +4,7 @@ and group-stratified linear non-Gaussian causal discovery."""
 from .data import (
     CovariateSeries,
     Dataset,
-    InspectionRecord,
+    Inspections,
     build_transitions,
     ingest_inspections,
     ingest_timeseries,
@@ -44,7 +44,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovariateSeries", "Dataset", "InspectionRecord",
+    "CovariateSeries", "Dataset", "Inspections",
     "build_transitions", "ingest_inspections", "ingest_timeseries",
     "RandomEffectEstimate", "ess", "extract_random_effects", "hdi", "split_rhat",
     "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix",

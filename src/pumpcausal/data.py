@@ -1,4 +1,4 @@
-"""Domain types, CSV ingestion, and transition construction.
+"""Domain types, ingestion, and transition construction.
 
 Raw inputs are periodic inspections (pump, day, discrete health state in
 1..K) and daily measurement series per pump.  Consecutive inspection pairs
@@ -8,41 +8,88 @@ the interval, with the interval-mean covariate vector attached.
 
 from __future__ import annotations
 
-import csv
-from collections import Counter, defaultdict
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .tables import read_table, write_table
 
 N_STATES = 8
 
 INSPECTIONS_HEADER = ["pump_id", "day", "state"]
 TIMESERIES_HEADER = ["pump_id", "day", "value"]
-_TIMESERIES_ROW = np.dtype([("pump", np.int32), ("day", np.int64), ("value", np.float64)])
-_BLOCK_LINES = 2**12  # lines per np.loadtxt call, and the span of an error search
 
 
-@dataclass(frozen=True)
-class InspectionRecord:
-    """One inspection row: health state of a pump on a given day."""
+def _group_by_key(code: np.ndarray, *columns: np.ndarray):
+    """The columns with each key's rows gathered in file order, and the
+    gathering order (None when every key's rows already form one run)."""
+    if not np.any(code[1:] < code[:-1]):
+        return None, (code, *columns)
+    order = np.argsort(code, kind="stable")
+    return order, tuple(c[order] for c in (code, *columns))
 
-    pump_id: str
-    day: int
-    state: int
+
+def _first_in_file(bad: np.ndarray, order: np.ndarray | None) -> list[tuple[int, int]]:
+    """The row of ``bad`` that comes first in the file, with its file row
+    (row r of the columns is file row ``order[r]``); empty when none is bad."""
+    (rows,) = np.nonzero(bad)
+    if not len(rows):
+        return []
+    r = int(rows[0] if order is None else rows[np.argmin(order[rows])])
+    return [(r, r if order is None else int(order[r]))]
+
+
+def _inspection_problems(pump_ids, pump, day, state, order=None) -> list[tuple[int, str]]:
+    """The first row of pump-grouped inspection columns that breaks each
+    rule on states and days, as (row, message); with ``order``, row r came
+    from row ``order[r]`` of a file, and the row first in the file is named."""
+    rules = (
+        ((state < 1) | (state > N_STATES), lambda r: f"state {state[r]} outside 1..{N_STATES}"),
+        (day < 0, lambda r: f"negative day {day[r]}"),
+        ((np.diff(pump, prepend=-1) == 0) & (np.diff(day, prepend=0) <= 0),
+         lambda r: f"days not strictly increasing ({day[r - 1]} then {day[r]})"),
+    )
+    return [
+        (row, f"pump {pump_ids[pump[r]]}: {message(r)}")
+        for bad, message in rules
+        for r, row in _first_in_file(bad, order)
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class Inspections:
+    """Inspection rows as columns, grouped by pump: row r is pump
+    ``pump_ids[pump[r]]`` in health state ``state[r]`` on day ``day[r]``.
+
+    Each pump's rows form one run, pumps come in ``pump_ids`` order, days
+    are non-negative and increase strictly within a pump, and states lie
+    in 1..N_STATES.
+    """
+
+    pump_ids: tuple[str, ...]
+    pump: np.ndarray
+    day: np.ndarray
+    state: np.ndarray
 
     def __post_init__(self):
-        if self.day < 0:
-            raise DataError(f"pump {self.pump_id}: negative day {self.day}")
-        if not 1 <= self.state <= N_STATES:
-            raise DataError(
-                f"pump {self.pump_id}: state {self.state} outside 1..{N_STATES}"
-            )
+        pump, day, state = (np.asarray(c, np.int64) for c in (self.pump, self.day, self.state))
+        if not len(pump) == len(day) == len(state):
+            raise DataError("inspection columns differ in length")
+        for name, column in zip(("pump", "day", "state"), (pump, day, state)):
+            object.__setattr__(self, name, column)
+        starts = np.diff(pump, prepend=-1) != 0
+        if np.any(pump != np.cumsum(starts) - 1) or starts.sum() != len(self.pump_ids):
+            raise DataError("inspections must hold one run of rows per pump, in pump_ids order")
+        problems = _inspection_problems(self.pump_ids, pump, day, state)
+        if problems:
+            raise DataError(min(problems)[1])
+
+    def __len__(self) -> int:
+        return len(self.pump)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,30 +162,6 @@ class Dataset:
         for name, column in zip(("y", "dt", "k", "pump", "x"), (y, dt, k, pump, x)):
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[tuple[int, int, float, int, Sequence[float]]],
-        n_pumps: int,
-        n_states: int,
-        n_covariates: int,
-    ) -> "Dataset":
-        """Build from (pump_index, state_index, delta_t, y, x) rows, with
-        ``state_index`` 1-based as in the inspection files."""
-        pump, state, dt, y, x = zip(*rows) if rows else ((),) * 5
-        widths = {len(v) for v in x} - {n_covariates}
-        if widths:
-            raise DataError(f"covariate length {widths.pop()} != {n_covariates}")
-        return cls(
-            y=y,
-            dt=dt,
-            k=np.asarray(state, dtype=np.intp) - 1,
-            pump=pump,
-            x=np.array(x, dtype=float).reshape(len(rows), n_covariates),
-            n_pumps=n_pumps,
-            n_states=n_states,
-        )
-
     @property
     def n_covariates(self) -> int:
         return self.x.shape[1]
@@ -169,163 +192,48 @@ class TransitionBuild:
         return self.dropped_decrease + self.dropped_absorbing
 
 
-@contextmanager
-def _open_csv(path: str | Path, expected_header: list[str]):
-    """The open file, positioned after its checked header line."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if header != expected_header:
-            raise DataError(
-                f"{path}: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        yield fh
+def ingest_inspections(path: str | Path) -> Inspections:
+    """Parse an inspections CSV into columns grouped by pump, pumps in
+    first-appearance order and each pump's rows in file order.
 
-
-def _open_rows(path: str | Path, expected_header: list[str]):
-    with _open_csv(path, expected_header) as fh:
-        yield from enumerate(csv.reader(fh), start=2)
-
-
-def ingest_inspections(path: str | Path) -> list[InspectionRecord]:
-    """Parse an inspections CSV into records grouped by pump, day-ordered.
-
-    Enforces strictly increasing days within each pump and states in 1..K.
-    Errors carry the offending line number.
+    An error names the first offending line: malformed, a state outside
+    1..K, a negative day, or a day not after the pump's previous one.
     """
-    by_pump: dict[str, list[InspectionRecord]] = {}
-    for line_no, row in _open_rows(path, INSPECTIONS_HEADER):
-        if len(row) != 3:
-            raise DataError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
-        pump_id, day_s, state_s = row
-        try:
-            day = int(day_s)
-            state = int(state_s)
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: non-integer day or state") from None
-        if not 1 <= state <= N_STATES:
-            raise DataError(
-                f"{path} line {line_no}: state {state} outside 1..{N_STATES}"
-            )
-        if day < 0:
-            raise DataError(f"{path} line {line_no}: negative day {day}")
-        group = by_pump.setdefault(pump_id, [])
-        if group and day <= group[-1].day:
-            raise DataError(
-                f"{path} line {line_no}: pump {pump_id} days not strictly "
-                f"increasing ({group[-1].day} then {day})"
-            )
-        group.append(InspectionRecord(pump_id, day, state))
-    records: list[InspectionRecord] = []
-    for group in by_pump.values():
-        records.extend(group)
-    return records
-
-
-def _parse_lines(lines: list[str], codes) -> np.ndarray | None:
-    """The lines as a (pump, day, value) table, pumps coded by ``codes``; None
-    unless every line is one row of three fields with an integer day and a
-    numeric value."""
-    if not lines:
-        return np.empty(0, _TIMESERIES_ROW)
-    if any(map(str.isspace, lines)):  # loadtxt would skip a blank line
-        return None
-    try:
-        table = np.loadtxt(
-            lines, _TIMESERIES_ROW, delimiter=",", comments=None, quotechar='"',
-            converters={0: codes.__getitem__}, ndmin=1,
-        )
-    except ValueError:
-        return None
-    return table if len(table) == len(lines) else None
-
-
-def _parse_block(lines: list[str], codes) -> tuple[np.ndarray, int]:
-    """The table of the lines before the first malformed one, and that
-    line's index (``len(lines)`` when every line parses), found by bisection."""
-    table = _parse_lines(lines, codes)
-    if table is not None:
-        return table, len(lines)
-    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _parse_lines(lines[:mid], codes) is None:
-            bad = mid
-        else:
-            good = mid
-    return _parse_lines(lines[:good], codes), good
+    table = read_table(path, INSPECTIONS_HEADER, (int,))
+    order, (pump, day, state) = _group_by_key(*table.columns)
+    problems = _inspection_problems(table.keys, pump, day, state, order)
+    table.raise_first((row + 2, message) for row, message in problems)
+    return Inspections(tuple(table.keys), pump, day, state)
 
 
 def ingest_timeseries(path: str | Path) -> list[CovariateSeries]:
     """Parse a timeseries CSV into one contiguous daily series per pump.
 
-    The lines are parsed in blocks of ``_BLOCK_LINES`` into pump, day and
-    value columns, and reading stops at the first malformed line.  An error
-    names the first offending line in file order: malformed, non-finite, or
-    breaking its pump's run of consecutive days.  Series come in
-    first-appearance order, their values views into one value column.
+    An error names the first offending line in file order: malformed,
+    non-finite, or breaking its pump's run of consecutive days.  Series come
+    in first-appearance order, their values views into one value column.
     """
-    codes = defaultdict()
-    codes.default_factory = codes.__len__  # a new pump id takes the next code
-    tables = [np.empty(0, _TIMESERIES_ROW)]  # so a header-only file concatenates
-    errors: list[tuple[int, str]] = []
-    line_no = 2
-    with _open_csv(path, TIMESERIES_HEADER) as fh:
-        while not errors and (lines := list(islice(fh, _BLOCK_LINES))):
-            table, n_good = _parse_block(lines, codes)
-            tables.append(table)
-            if n_good < len(lines):
-                n_fields = len(next(csv.reader(lines[n_good : n_good + 1]), []))
-                errors.append((
-                    line_no + n_good,
-                    f"expected 3 fields, got {n_fields}" if n_fields != 3
-                    else "non-numeric day or value",
-                ))
-            line_no += len(lines)
-    # row r of the columns is line r + 2 of the file
-    code, day, value = (
-        np.concatenate([t[name] for t in tables]) for name in _TIMESERIES_ROW.names
-    )
-    del tables
-    (nonfinite,) = np.nonzero(~np.isfinite(value))
-    if len(nonfinite):
-        errors.append((int(nonfinite[0]) + 2, "non-finite value"))
-
-    order = None
-    if np.any(code[1:] < code[:-1]):  # pumps interleaved: gather each pump's rows in file order
-        order = np.argsort(code, kind="stable")
-        code, day, value = code[order], day[order], value[order]
-    pump_ids = list(codes)
-    same_pump = code[1:] == code[:-1]
-    (gaps,) = np.nonzero(same_pump & (np.diff(day) != 1))
-    if len(gaps):
-        rows = gaps + 1 if order is None else order[gaps + 1]
-        first = np.argmin(rows)
-        at = gaps[first] + 1
-        errors.append((
-            int(rows[first]) + 2,
-            f"pump {pump_ids[code[at]]} days not contiguous "
-            f"(expected {day[at - 1] + 1}, got {day[at]})",
-        ))
-    if errors:
-        line, message = min(errors, key=lambda e: e[0])
-        raise DataError(f"{path} line {line}: {message}")
+    table = read_table(path, TIMESERIES_HEADER, (int, float))
+    nonfinite = _first_in_file(~np.isfinite(table.columns[2]), None)
+    errors = [(row + 2, "non-finite value") for _, row in nonfinite]
+    order, (code, day, value) = _group_by_key(*table.columns)
+    gaps = np.zeros(len(code), dtype=bool)  # filled in place: no prepended copies
+    gaps[1:] = (code[1:] == code[:-1]) & (np.diff(day) != 1)
+    errors += [
+        (row + 2, f"pump {table.keys[code[r]]} days not contiguous "
+                  f"(expected {day[r - 1] + 1}, got {day[r]})")
+        for r, row in _first_in_file(gaps, order)
+    ]
+    table.raise_first(errors)
     starts = np.flatnonzero(np.diff(code, prepend=-1))
     return [
-        CovariateSeries(pump_ids[c], int(d), v)
+        CovariateSeries(table.keys[c], int(d), v)
         for c, d, v in zip(code[starts], day[starts], np.split(value, starts[1:]))
     ]
 
 
 def build_transitions(
-    records: Sequence[InspectionRecord],
-    covariates: Sequence[CovariateSeries] = (),
-    n_states: int = N_STATES,
+    inspections: Inspections, covariates: Sequence[CovariateSeries] = ()
 ) -> TransitionBuild:
     """Turn consecutive inspection pairs into transition observations.
 
@@ -334,14 +242,6 @@ def build_transitions(
     interval covariate is the mean of each daily series over [start, end).
     Intervals with state decreases (repairs) are dropped and counted.
     """
-    by_pump: dict[str, list[InspectionRecord]] = {}
-    for rec in records:
-        by_pump.setdefault(rec.pump_id, []).append(rec)
-    for pump_id, group in by_pump.items():
-        days = [r.day for r in group]
-        if any(b <= a for a, b in zip(days, days[1:])):
-            raise DataError(f"pump {pump_id}: inspection days not strictly increasing")
-
     series_by_pump: dict[str, list[CovariateSeries]] = {}
     for series in covariates:
         series_by_pump.setdefault(series.pump_id, []).append(series)
@@ -349,28 +249,30 @@ def build_transitions(
     if len(p_counts) > 1:
         raise DataError(f"pumps have differing covariate counts: {sorted(p_counts)}")
     n_covariates = p_counts.pop() if p_counts else 0
+    pump_ids = inspections.pump_ids
+    lacking = [pid for pid in pump_ids if len(series_by_pump.get(pid, ())) != n_covariates]
+    if lacking:
+        raise DataError(f"pump {lacking[0]}: no covariate series")
 
-    pump_ids = tuple(by_pump)
-    rows = []
-    dropped_decrease = 0
-    dropped_absorbing = 0
-    for pump_index, pump_id in enumerate(pump_ids):
-        group = by_pump[pump_id]
-        pump_series = series_by_pump.get(pump_id, [])
-        if len(pump_series) != n_covariates:
-            raise DataError(f"pump {pump_id}: no covariate series")
-        for start, end in zip(group, group[1:]):
-            if start.state >= n_states:
-                dropped_absorbing += 1
-                continue
-            if end.state < start.state:
-                dropped_decrease += 1
-                continue
-            x = [s.window(start.day, end.day).mean() for s in pump_series]
-            y = int(end.state > start.state)
-            rows.append((pump_index, start.state, float(end.day - start.day), y, x))
-    dataset = Dataset.from_rows(rows, len(pump_ids), n_states, n_covariates)
-    return TransitionBuild(dataset, pump_ids, dropped_decrease, dropped_absorbing)
+    pump, day, state = inspections.pump, inspections.day, inspections.state
+    interval = pump[1:] == pump[:-1]  # rows r and r + 1 are one pump's inspections
+    absorbing = interval & (state[:-1] >= N_STATES)
+    decrease = interval & ~absorbing & (state[1:] < state[:-1])
+    (start,) = np.nonzero(interval & ~absorbing & ~decrease)
+    x = [
+        [s.window(a, b).mean() for s in series_by_pump.get(pump_ids[p], ())]
+        for p, a, b in zip(pump[start].tolist(), day[start].tolist(), day[start + 1].tolist())
+    ]
+    dataset = Dataset(
+        y=state[start + 1] > state[start],
+        dt=(day[start + 1] - day[start]).astype(float),
+        k=state[start] - 1,
+        pump=pump[start],
+        x=np.array(x, dtype=float).reshape(len(start), n_covariates),
+        n_pumps=len(pump_ids),
+        n_states=N_STATES,
+    )
+    return TransitionBuild(dataset, pump_ids, int(decrease.sum()), int(absorbing.sum()))
 
 
 def transitions_header(n_covariates: int) -> list[str]:
@@ -381,65 +283,33 @@ def transitions_header(n_covariates: int) -> list[str]:
 
 def write_transitions_csv(dataset: Dataset, path: str | Path) -> None:
     """Export observations; numbers use shortest round-trip formatting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(transitions_header(dataset.n_covariates))
-        columns = (dataset.pump, dataset.k + 1, dataset.dt, dataset.y, dataset.x)
-        for pump, state, dt, y, x in zip(*(c.tolist() for c in columns)):
-            writer.writerow([pump, state, repr(dt), y] + [repr(v) for v in x])
+    columns = (dataset.pump, dataset.k + 1, dataset.dt, dataset.y, dataset.x)
+    write_table(
+        path,
+        transitions_header(dataset.n_covariates),
+        ([pump, state, dt, y, *x] for pump, state, dt, y, x in zip(*(c.tolist() for c in columns))),
+    )
 
 
-def read_transitions_csv(
-    path: str | Path, n_pumps: int | None = None, n_states: int = N_STATES
-) -> Dataset:
-    """Re-ingest an exported transitions CSV; round-trips exactly."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != transitions_header(0):
-            raise DataError(f"{path}: bad transitions header")
-        n_covariates = len(header) - 4
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4 + n_covariates:
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            try:
-                rows.append(
-                    (int(row[0]), int(row[1]), float(row[2]), int(row[3]),
-                     [float(v) for v in row[4:]])
-                )
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: malformed row") from None
-    if n_pumps is None:
-        n_pumps = max((r[0] for r in rows), default=-1) + 1
-    return Dataset.from_rows(rows, n_pumps, n_states, n_covariates)
-
-
-def write_inspections_csv(records: Iterable[InspectionRecord], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INSPECTIONS_HEADER)
-        for rec in records:
-            writer.writerow([rec.pump_id, rec.day, rec.state])
+def write_inspections_csv(inspections: Inspections, path: str | Path) -> None:
+    pump_id = np.array(inspections.pump_ids, dtype=object)[inspections.pump]
+    rows = zip(pump_id, inspections.day.tolist(), inspections.state.tolist())
+    write_table(path, INSPECTIONS_HEADER, rows)
 
 
 def write_timeseries_csv(series: Iterable[CovariateSeries], path: str | Path) -> None:
     """Write one daily series per pump; a repeated pump id raises, because
     ``ingest_timeseries`` reads one series per pump."""
     series = list(series)
-    counts = Counter(s.pump_id for s in series)
-    repeated = [pump_id for pump_id, count in counts.items() if count > 1]
-    if repeated:
-        raise DataError(
-            f"pump {repeated[0]} has {counts[repeated[0]]} series; "
-            "a timeseries file holds one series per pump"
-        )
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMESERIES_HEADER)
-        for s in series:
-            for offset, value in enumerate(s.values):
-                writer.writerow([s.pump_id, s.start_day + offset, repr(float(value))])
+    for pump_id, n in Counter(s.pump_id for s in series).most_common(1):
+        if n > 1:
+            raise DataError(f"pump {pump_id} has {n} series; a timeseries file holds one per pump")
+    write_table(
+        path,
+        TIMESERIES_HEADER,
+        (
+            (s.pump_id, day, value)
+            for s in series
+            for day, value in enumerate(s.values.tolist(), start=s.start_day)
+        ),
+    )

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import csv
-
 import numpy as np
 
 from .data import CovariateSeries
 from .errors import DataError
+from .tables import read_table, write_table
 
 EPSILON = 1e-10
 
@@ -124,9 +123,6 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_names.index(name)]
 
-    def row(self, pump_id: str) -> np.ndarray:
-        return self.values[self.pump_ids.index(pump_id)]
-
 
 def extract_features(
     series: Iterable[CovariateSeries],
@@ -159,32 +155,23 @@ def extract_features(
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pump_id", *matrix.feature_names])
-        for pump_id, row in zip(matrix.pump_ids, matrix.values):
-            writer.writerow([pump_id, *[repr(float(v)) for v in row]])
+    write_table(
+        path,
+        ["pump_id", *matrix.feature_names],
+        ([pump_id, *row] for pump_id, row in zip(matrix.pump_ids, matrix.values.tolist())),
+    )
 
 
 def read_features_csv(path: str | Path) -> FeatureMatrix:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "pump_id":
-            raise DataError(f"{path}: bad features header")
-        names = tuple(header[1:])
-        pump_ids = []
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            pump_ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: non-numeric value") from None
-    values = np.array(rows) if rows else np.empty((0, len(names)))
-    return FeatureMatrix(tuple(pump_ids), names, values)
+    """Read a feature matrix back; a repeated pump id is an error."""
+    table = read_table(path, None, (float,))
+    errors = table.repeated_keys()
+    if table.header[:1] != ("pump_id",):
+        errors.append((1, f"expected pump_id first, got header {','.join(table.header)}"))
+    table.raise_first(errors)
+    values = table.columns[1:]
+    return FeatureMatrix(
+        tuple(table.keys),
+        table.header[1:],
+        np.column_stack(values) if values else np.empty((len(table.keys), 0)),
+    )

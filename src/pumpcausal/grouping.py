@@ -88,10 +88,6 @@ def min_members(n_features: int) -> int:
     return n_features + 2
 
 
-def is_viable(group: GroupDataset) -> bool:
-    return group.count >= min_members(len(group.feature_names))
-
-
 def build_group_datasets(
     features: FeatureMatrix,
     assignments: Sequence[GroupAssignment],

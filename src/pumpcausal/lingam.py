@@ -15,7 +15,6 @@ units (raw effect i->j = standardized effect * sd_j / sd_i).
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from . import rng as rng_mod
 from .errors import InsufficientGroupError, LingamError
 from .grouping import GroupDataset, min_members
+from .tables import write_table
 
 CONSTANT_SD_TOL = 1e-12
 COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
@@ -525,10 +525,6 @@ class CausalModel:
     def _scale(self, i: int, j: int) -> float:
         return float(self.column_sds[j] / self.column_sds[i])
 
-    def adjacency_raw(self) -> np.ndarray:
-        """Effects de-standardized back to raw data units."""
-        return self.adjacency * self.column_sds[None, :] / self.column_sds[:, None]
-
     def effects_to_target(self, raw: bool = True) -> dict[str, float]:
         """Direct effect of each feature on the target, by feature name."""
         t = self.target_index
@@ -622,21 +618,16 @@ def discover(group: GroupDataset, config: LingamConfig = LingamConfig()) -> Caus
     )
 
 
+_EDGE_FIELDS = ("effect", "ci_low", "ci_high", "sign_stability")
+EFFECTS_HEADER = ["feature", *_EDGE_FIELDS]
+
+
 def write_adjacency_csv(model: CausalModel, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "effect", "ci_low", "ci_high", "sign_stability"])
-        for row in model.edge_rows():
-            writer.writerow(
-                [
-                    row["from"],
-                    row["to"],
-                    repr(row["effect"]),
-                    repr(row["ci_low"]),
-                    repr(row["ci_high"]),
-                    repr(row["sign_stability"]),
-                ]
-            )
+    write_table(
+        path,
+        ["from", "to", *_EDGE_FIELDS],
+        ([r["from"], r["to"], *(r[f] for f in _EDGE_FIELDS)] for r in model.edge_rows()),
+    )
 
 
 def write_order_json(model: CausalModel, path: str | Path) -> None:
@@ -644,20 +635,15 @@ def write_order_json(model: CausalModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
 
 
-def write_effects_csv(model: CausalModel, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "effect", "ci_low", "ci_high", "sign_stability"])
-        for row in model.target_edge_table():
-            writer.writerow(
-                [
-                    row["from"],
-                    repr(row["effect"]),
-                    repr(row["ci_low"]),
-                    repr(row["ci_high"]),
-                    repr(row["sign_stability"]),
-                ]
-            )
+def write_effects_csv(model: CausalModel, path: str | Path, top_k: int | None = None) -> None:
+    """Feature -> target effects by decreasing magnitude; the first ``top_k``
+    of them when given."""
+    rows = model.target_edge_table()[:top_k]
+    write_table(
+        path,
+        EFFECTS_HEADER,
+        ([r["from"], *(r[f] for f in _EDGE_FIELDS)] for r in rows),
+    )
 
 
 def write_discovery_json(model: CausalModel, path: str | Path, n_bootstrap: int) -> None:

@@ -17,7 +17,6 @@ for all of them, and only the random draws and the stop masks are per chain.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ import numpy as np
 from . import rng as rng_mod
 from .diagnostics import ess, split_rhat
 from .errors import SamplerError
+from .tables import write_table
 
 ENERGY_ERROR_THRESHOLD = 1000.0  # divergence cutoff on the Hamiltonian error
 _INIT_RETRIES = 100
@@ -526,14 +526,15 @@ def write_draws_csv(
 ) -> None:
     if len(names) != samples.dim:
         raise SamplerError("name count does not match draw dimension")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "draw", *names])
-        for c in range(samples.n_chains):
-            for s in range(samples.n_draws):
-                writer.writerow(
-                    [c, s, *[repr(float(v)) for v in samples.draws[c, s]]]
-                )
+    write_table(
+        path,
+        ["chain", "draw", *names],
+        (
+            [c, s, *row]
+            for c in range(samples.n_chains)
+            for s, row in enumerate(samples.draws[c].tolist())
+        ),
+    )
 
 
 def _extreme(values: np.ndarray, reduce) -> float | None:

@@ -12,12 +12,12 @@ All outputs are byte-deterministic for fixed (inputs, config, seed) except
 from __future__ import annotations
 
 import configparser
-import csv
 import dataclasses
 import hashlib
 import json
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +31,6 @@ from .errors import ConfigError, DataError, PumpcausalError, StageError
 from .grouping import (
     Group,
     GroupAssignment,
-    GroupDataset,
     assign_groups,
     build_group_datasets,
     min_members,
@@ -46,6 +45,7 @@ from .nuts import (
     write_draws_csv,
 )
 from .synth import SynthConfig, generate_hazard_data
+from .tables import read_table, write_table
 
 STAGES = ("synth", "fit", "features", "group", "discover")
 
@@ -66,6 +66,8 @@ FILES = {
 }
 
 U_HIST_BINS = 20
+U_ESTIMATES_HEADER = ["pump_id", "u_mean", "hdi_low", "hdi_high"]
+GROUPS_HEADER = ["pump_id", "u_mean", "group"]
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ class PipelineConfig:
 _SECTION_KEYS = {
     "pipeline": {"out_dir", "seed", "threads", "source", "inspections", "timeseries", "top_k"},
     "synth": {
-        "n_pumps", "n_states", "sigma_u", "study_days", "interval_min",
+        "n_pumps", "sigma_u", "study_days", "interval_min",
         "interval_max", "ar_coeff", "ar_noise_sd", "scenario_rows",
     },
     "sampler": {"n_draws", "n_tune", "n_chains", "target_accept", "max_tree_depth"},
@@ -218,19 +220,15 @@ def load_config(
     return PipelineConfig(**settings, synth=synth)
 
 
+@contextmanager
 def _stage_guard(stage: str):
     """Re-raise package errors with the failing stage's label."""
-
-    class _Guard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, PumpcausalError) and not isinstance(exc, StageError):
-                raise StageError(stage, str(exc)) from exc
-            return False
-
-    return _Guard()
+    try:
+        yield
+    except StageError:
+        raise
+    except PumpcausalError as exc:
+        raise StageError(stage, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def run_synth(cfg: PipelineConfig) -> None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         synthesis = generate_hazard_data(cfg.synth)
-        data_mod.write_inspections_csv(synthesis.records, cfg.path("inspections"))
+        data_mod.write_inspections_csv(synthesis.inspections, cfg.path("inspections"))
         data_mod.write_timeseries_csv(synthesis.covariates, cfg.path("timeseries"))
         synthesis.truth.write(cfg.path("ground_truth"))
 
@@ -254,11 +252,11 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
     with _stage_guard("fit"):
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        records = data_mod.ingest_inspections(cfg.inspections_path())
+        inspections = data_mod.ingest_inspections(cfg.inspections_path())
         covariates = (
             data_mod.ingest_timeseries(cfg.timeseries_path()) if cfg.use_covariates else []
         )
-        build = data_mod.build_transitions(records, covariates)
+        build = data_mod.build_transitions(inspections, covariates)
         data_mod.write_transitions_csv(build.dataset, cfg.path("transitions"))
         layout = ParamLayout.for_dataset(build.dataset)
         target = make_logp_and_grad(build.dataset, layout)
@@ -272,48 +270,36 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         names = layout.names()
         write_draws_csv(samples, names, cfg.path("draws"))
         data_record = {
-            "n_records": len(records),
+            "n_records": len(inspections),
             "n_transitions": len(build.dataset),
             "dropped_decrease": build.dropped_decrease,
             "dropped_absorbing": build.dropped_absorbing,
         }
         write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
-        estimates = extract_random_effects(samples, layout)
-        _write_u_estimates(estimates, build.pump_ids, cfg.path("u_estimates"))
+        write_table(
+            cfg.path("u_estimates"),
+            U_ESTIMATES_HEADER,
+            (
+                [build.pump_ids[e.pump_index], e.u_mean, e.hdi_low, e.hdi_high]
+                for e in extract_random_effects(samples, layout)
+            ),
+        )
         return diagnostic_flags(samples)
 
 
-def _write_u_estimates(
-    estimates: list[RandomEffectEstimate], pump_ids, path: Path
-) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pump_id", "u_mean", "hdi_low", "hdi_high"])
-        for est in estimates:
-            writer.writerow(
-                [
-                    pump_ids[est.pump_index],
-                    repr(est.u_mean),
-                    repr(est.hdi_low),
-                    repr(est.hdi_high),
-                ]
-            )
+def _read_per_pump(path: Path, header: list[str], kinds: tuple) -> dict[str, tuple]:
+    """A one-row-per-pump artifact as pump id -> the row's other fields."""
+    table = read_table(path, header, kinds)
+    table.raise_first(table.repeated_keys() if table.keys else [(2, "no pumps")])
+    return dict(zip(table.keys, zip(*(c.tolist() for c in table.columns[1:]))))
 
 
 def read_u_estimates(path: Path) -> dict[str, tuple[float, float, float]]:
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    out: dict[str, tuple[float, float, float]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["pump_id", "u_mean", "hdi_low", "hdi_high"]:
-            raise DataError(f"{path}: bad u-estimates header")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            out[row[0]] = (float(row[1]), float(row[2]), float(row[3]))
-    return out
+    return _read_per_pump(path, U_ESTIMATES_HEADER, (float,))
+
+
+def read_groups(path: Path) -> dict[str, tuple[float, Group]]:
+    return _read_per_pump(path, GROUPS_HEADER, (float, Group))
 
 
 def run_features(cfg: PipelineConfig) -> None:
@@ -332,91 +318,49 @@ def run_features(cfg: PipelineConfig) -> None:
         features_mod.write_features_csv(matrix, cfg.path("features"))
 
 
-def _load_group_inputs(cfg: PipelineConfig):
+def _features_with(cfg: PipelineConfig, path: Path, fields: dict[str, tuple]):
+    """The feature matrix, and the ``fields`` of each of its pumps, read
+    from ``path``, which must hold the same pumps."""
     matrix = features_mod.read_features_csv(cfg.path("features"))
-    u_map = read_u_estimates(cfg.path("u_estimates"))
-    missing = [pid for pid in matrix.pump_ids if pid not in u_map]
-    extra = [pid for pid in u_map if pid not in matrix.pump_ids]
+    missing = [pid for pid in matrix.pump_ids if pid not in fields]
+    extra = sorted(set(fields) - set(matrix.pump_ids))
     if missing or extra:
         raise DataError(
-            f"pump sets differ between features and u-estimates "
-            f"(missing u for {missing}, features for {extra})"
+            f"pump sets differ between {cfg.path('features')} and {path} "
+            f"(only in the features: {missing}, only in {path.name}: {extra})"
         )
-    estimates = [
-        RandomEffectEstimate(
-            pump_index=i,
-            u_mean=u_map[pid][0],
-            hdi_low=u_map[pid][1],
-            hdi_high=u_map[pid][2],
-        )
-        for i, pid in enumerate(matrix.pump_ids)
-    ]
-    return matrix, estimates
+    return matrix, [fields[pid] for pid in matrix.pump_ids]
 
 
 def run_group(cfg: PipelineConfig) -> None:
     """Assign pumps to sign groups and persist the assignment."""
     with _stage_guard("group"):
-        matrix, estimates = _load_group_inputs(cfg)
-        assignments = assign_groups(estimates)
-        with cfg.path("groups").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pump_id", "u_mean", "group"])
-            for a in assignments:
-                writer.writerow(
-                    [matrix.pump_ids[a.pump_index], repr(a.u_mean), a.group.value]
-                )
+        path = cfg.path("u_estimates")
+        matrix, fields = _features_with(cfg, path, read_u_estimates(path))
+        assignments = assign_groups(RandomEffectEstimate(i, *f) for i, f in enumerate(fields))
+        write_table(
+            cfg.path("groups"),
+            GROUPS_HEADER,
+            ([matrix.pump_ids[a.pump_index], a.u_mean, a.group.value] for a in assignments),
+        )
 
 
-def read_groups(path: Path) -> list[tuple[str, float, Group]]:
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    out = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["pump_id", "u_mean", "group"]:
-            raise DataError(f"{path}: bad groups header")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            out.append((row[0], float(row[1]), Group(row[2])))
-    return out
-
-
-def _group_datasets_from_artifacts(
-    cfg: PipelineConfig, rows: list[tuple[str, float, Group]]
-) -> tuple[GroupDataset, GroupDataset]:
-    matrix = features_mod.read_features_csv(cfg.path("features"))
-    by_id = {pid: (u, grp) for pid, u, grp in rows}
-    missing = [pid for pid in matrix.pump_ids if pid not in by_id]
-    if missing:
-        raise DataError(f"groups file lacks pumps: {missing}")
-    assignments = [
-        GroupAssignment(pump_index=i, u_mean=by_id[pid][0], group=by_id[pid][1])
-        for i, pid in enumerate(matrix.pump_ids)
-    ]
-    return build_group_datasets(matrix, assignments)
-
-
-def _write_u_hist(rows: list[tuple[str, float, Group]], path: Path) -> None:
+def _write_u_hist(groups: dict[str, tuple[float, Group]], path: Path) -> None:
     """Histogram counts of u by group: the data behind the distribution figure."""
-    u_all = np.array([u for _, u, _ in rows])
+    u_all = np.array([u for u, _ in groups.values()])
     lo, hi = float(u_all.min()), float(u_all.max())
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, U_HIST_BINS + 1)
-    u_pos = np.array([u for _, u, g in rows if g is Group.POSITIVE])
-    u_neg = np.array([u for _, u, g in rows if g is Group.NEGATIVE])
-    pos_counts, _ = np.histogram(u_pos, bins=edges)
-    neg_counts, _ = np.histogram(u_neg, bins=edges)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count_positive", "count_negative"])
-        for b in range(U_HIST_BINS):
-            writer.writerow(
-                [repr(float(edges[b])), repr(float(edges[b + 1])), int(pos_counts[b]), int(neg_counts[b])]
-            )
+    counts = [  # positive, then negative
+        np.histogram([u for u, g in groups.values() if g is group], bins=edges)[0].tolist()
+        for group in Group
+    ]
+    write_table(
+        path,
+        ["bin_low", "bin_high", "count_positive", "count_negative"],
+        zip(edges[:-1].tolist(), edges[1:].tolist(), *counts),
+    )
 
 
 def group_artifact_paths(cfg: PipelineConfig, group: Group) -> dict[str, Path]:
@@ -428,22 +372,6 @@ def group_artifact_paths(cfg: PipelineConfig, group: Group) -> dict[str, Path]:
         "top_effects": out / f"top_effects_{group.value}.csv",
         "discovery": out / f"discovery_{group.value}.json",
     }
-
-
-def _write_top_effects(model: lingam_mod.CausalModel, path: Path, top_k: int) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "effect", "ci_low", "ci_high", "sign_stability"])
-        for row in model.target_edge_table()[:top_k]:
-            writer.writerow(
-                [
-                    row["from"],
-                    repr(row["effect"]),
-                    repr(row["ci_low"]),
-                    repr(row["ci_high"]),
-                    repr(row["sign_stability"]),
-                ]
-            )
 
 
 def _discovery_flags(skipped_groups: list[str]) -> list[str]:
@@ -460,10 +388,13 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
     Returns a flag when no group was large enough to analyse.
     """
     with _stage_guard("discover"):
-        rows = read_groups(cfg.path("groups"))
-        _write_u_hist(rows, cfg.path("u_hist"))
+        path = cfg.path("groups")
+        groups = read_groups(path)
+        _write_u_hist(groups, cfg.path("u_hist"))
+        matrix, fields = _features_with(cfg, path, groups)
+        assignments = [GroupAssignment(i, *f) for i, f in enumerate(fields)]
         skipped: list[str] = []
-        for group_data in _group_datasets_from_artifacts(cfg, rows):
+        for group_data in build_group_datasets(matrix, assignments):
             paths = group_artifact_paths(cfg, group_data.group)
             if group_data.count < min_members(len(group_data.feature_names)):
                 skipped.append(group_data.group.value)
@@ -474,7 +405,7 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
             lingam_mod.write_adjacency_csv(model, paths["adjacency"])
             lingam_mod.write_order_json(model, paths["order"])
             lingam_mod.write_effects_csv(model, paths["effects"])
-            _write_top_effects(model, paths["top_effects"], cfg.top_k)
+            lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
             lingam_mod.write_discovery_json(model, paths["discovery"], cfg.n_bootstrap)
         build_report(cfg, skipped_groups=skipped)
         return _discovery_flags(skipped)
@@ -486,22 +417,21 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
 
 
 def _read_effects_csv(path: Path) -> list[dict]:
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            low, high = float(row["ci_low"]), float(row["ci_high"])
-            rows.append(
-                {
-                    "feature": row["feature"],
-                    "effect": float(row["effect"]),
-                    "ci_low": low,
-                    "ci_high": high,
-                    "ci_excludes_zero": low > 0.0 or high < 0.0,
-                    "sign_stability": float(row["sign_stability"]),
-                }
-            )
-    return rows
+    table = read_table(path, lingam_mod.EFFECTS_HEADER, (float,))
+    table.raise_first(table.repeated_keys())
+    return [
+        {
+            "feature": feature,
+            "effect": effect,
+            "ci_low": low,
+            "ci_high": high,
+            "ci_excludes_zero": low > 0.0 or high < 0.0,
+            "sign_stability": stability,
+        }
+        for feature, effect, low, high, stability in zip(
+            table.keys, *(c.tolist() for c in table.columns[1:])
+        )
+    ]
 
 
 @dataclass
@@ -521,11 +451,11 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
         sampler_summary: dict = {}
         if diag_path.exists():
             sampler_summary = json.loads(diag_path.read_text(encoding="utf-8"))["summary"]
-        rows = read_groups(cfg.path("groups"))
-        total = len(rows)
+        groups = read_groups(cfg.path("groups"))
+        total = len(groups)
         groups_summary = {}
         for group in (Group.POSITIVE, Group.NEGATIVE):
-            us = [u for _, u, g in rows if g is group]
+            us = [u for u, g in groups.values() if g is group]
             groups_summary[group.value] = {
                 "count": len(us),
                 "share": len(us) / total if total else 0.0,
@@ -536,10 +466,9 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
         max_effect: dict[str, float] = {}
         discovery: dict[str, dict] = {}
         if skipped_groups is None:
-            skipped_groups = []
-            for group in (Group.POSITIVE, Group.NEGATIVE):
-                if not group_artifact_paths(cfg, group)["effects"].exists():
-                    skipped_groups.append(group.value)
+            skipped_groups = [
+                g.value for g in Group if not group_artifact_paths(cfg, g)["effects"].exists()
+            ]
         for group in (Group.POSITIVE, Group.NEGATIVE):
             paths = group_artifact_paths(cfg, group)
             if group.value in skipped_groups or not paths["effects"].exists():
@@ -586,13 +515,20 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _repr_without_threads(config) -> str:
+    """The config's repr with ``threads`` at its default, which no output
+    depends on."""
+    return repr(dataclasses.replace(config, threads=None))
+
+
 def _stage_signature(cfg: PipelineConfig, stage: str) -> str:
     """Hash of a stage's input files and the config subset it depends on."""
     parts: list[str] = [stage, str(cfg.seed)]
+    inputs: list[Path] = []
     if stage == "synth":
         parts.append(repr(cfg.synth))
     elif stage == "fit":
-        parts += [repr(cfg.sampler_config()), str(cfg.use_covariates)]
+        parts += [_repr_without_threads(cfg.sampler_config()), str(cfg.use_covariates)]
         inputs = [cfg.inspections_path()]
         if cfg.use_covariates:
             inputs.append(cfg.timeseries_path())
@@ -606,10 +542,8 @@ def _stage_signature(cfg: PipelineConfig, stage: str) -> str:
     elif stage == "group":
         inputs = [cfg.path("u_estimates"), cfg.path("features")]
     elif stage == "discover":
-        parts += [repr(cfg.lingam_config()), str(cfg.top_k)]
+        parts += [_repr_without_threads(cfg.lingam_config()), str(cfg.top_k)]
         inputs = [cfg.path("groups"), cfg.path("features"), cfg.path("diagnostics")]
-    if stage == "synth":
-        inputs = []
     for path in inputs:
         parts.append(_sha256_file(path) if path.exists() else "missing")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()

@@ -23,9 +23,10 @@ import numpy as np
 
 from . import rng as rng_mod
 from .data import (
+    N_STATES,
     CovariateSeries,
     Dataset,
-    InspectionRecord,
+    Inspections,
     TransitionBuild,
     build_transitions,
 )
@@ -39,7 +40,6 @@ DEFAULT_LOG_LAMBDA0 = -4.5  # gives informative per-interval transition rates
 @dataclass(frozen=True)
 class SynthConfig:
     n_pumps: int = 30
-    n_states: int = 8
     sigma_u: float = 1.0
     log_lambda0: tuple[float, ...] | None = None  # None -> flat default per state
     beta: tuple[float, ...] = ()
@@ -70,7 +70,7 @@ class SynthConfig:
             raise ConfigError("need 1 <= interval_min <= interval_max")
         if self.study_days <= self.interval_max:
             raise ConfigError("study_days must exceed the maximum interval")
-        if self.log_lambda0 is not None and len(self.log_lambda0) != self.n_states:
+        if self.log_lambda0 is not None and len(self.log_lambda0) != N_STATES:
             raise ConfigError("log_lambda0 must have one entry per state")
         if not 0 <= abs(self.ar_coeff) < 1:
             raise ConfigError("ar_coeff must satisfy |ar_coeff| < 1")
@@ -84,7 +84,7 @@ class SynthConfig:
     def baseline_log_hazards(self) -> np.ndarray:
         if self.log_lambda0 is not None:
             return np.asarray(self.log_lambda0, dtype=float)
-        return np.full(self.n_states, DEFAULT_LOG_LAMBDA0)
+        return np.full(N_STATES, DEFAULT_LOG_LAMBDA0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +114,8 @@ class HazardSynthesis:
     """Generated inspection data plus the truth that produced it."""
 
     dataset: Dataset
-    records: tuple[InspectionRecord, ...]
+    inspections: Inspections
     covariates: tuple[CovariateSeries, ...]
-    pump_ids: tuple[str, ...]
     truth: GroundTruth
     build: TransitionBuild
 
@@ -145,7 +144,7 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
     log_lambda0 = config.baseline_log_hazards()
     u_true = rng.normal(0.0, config.sigma_u, size=config.n_pumps) if config.sigma_u else np.zeros(config.n_pumps)
 
-    records: list[InspectionRecord] = []
+    rows: list[tuple[int, int, int]] = []  # (pump, day, state)
     covariates: list[CovariateSeries] = []
     hazard_covariates: list[CovariateSeries] = []
     pump_ids = tuple(f"P{i:03d}" for i in range(config.n_pumps))
@@ -159,13 +158,13 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
         hazard_covariates.extend(pump_series[: len(beta)])
         day = 0
         state = 1
-        records.append(InspectionRecord(pump_id, 0, 1))
+        rows.append((i, 0, 1))
         while True:
             step = int(rng.integers(config.interval_min, config.interval_max + 1))
             next_day = day + step
             if next_day > config.study_days - 1:
                 break
-            if state < config.n_states:
+            if state < N_STATES:
                 eta = log_lambda0[state - 1] + u_true[i]
                 if len(beta):
                     means = [s[day:next_day].mean() for s in series[: len(beta)]]
@@ -173,24 +172,13 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
                 prob = -math.expm1(-math.exp(eta) * step)
                 if rng.random() < prob:
                     state += 1
-            records.append(InspectionRecord(pump_id, next_day, state))
+            rows.append((i, next_day, state))
             day = next_day
 
-    build = build_transitions(records, hazard_covariates, config.n_states)
-    truth = GroundTruth(
-        u_true=u_true,
-        log_lambda0=log_lambda0,
-        beta=beta,
-        sigma_u=config.sigma_u,
-    )
-    return HazardSynthesis(
-        dataset=build.dataset,
-        records=tuple(records),
-        covariates=tuple(covariates),
-        pump_ids=pump_ids,
-        truth=truth,
-        build=build,
-    )
+    inspections = Inspections(pump_ids, *np.array(rows, dtype=np.int64).T)
+    build = build_transitions(inspections, hazard_covariates)
+    truth = GroundTruth(u_true=u_true, log_lambda0=log_lambda0, beta=beta, sigma_u=config.sigma_u)
+    return HazardSynthesis(build.dataset, inspections, tuple(covariates), truth, build)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,176 @@
+"""The CSV format of every input file and artifact: one reader, one writer.
+
+A table is a header line, then one line per row of comma-separated fields,
+quoted as ``csv`` quotes them.  The first field of a row is its key (a pump
+id, a feature name); the others are integers, numbers or labels.  Floats are
+written as ``repr(float(v))``, the shortest text that reads back to the same
+value, so every table round-trips exactly.
+"""
+
+from __future__ import annotations
+
+import csv
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import islice
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import DataError
+
+_BLOCK_LINES = 2**12  # lines per np.loadtxt call, and the span of an error search
+_DTYPES = {int: np.int64, float: np.float64}  # any other kind is an Enum of labels
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A parsed table; row r of every column is line r + 2 of the file.
+
+    Parsing stops at the first malformed line, so the columns hold the rows
+    before it and ``errors`` names it.
+    """
+
+    path: Path
+    header: tuple[str, ...]
+    keys: list[str]  # distinct first fields, in first-appearance order
+    columns: tuple[np.ndarray, ...]  # each row's key index, then each other field
+    errors: list[tuple[int, str]]  # (line, message); line 0 is the file itself
+
+    def repeated_keys(self) -> list[tuple[int, str]]:
+        """An error at the first line whose key an earlier line already had."""
+        code = self.columns[0]
+        # keys are coded in order of appearance, so until the first repeat
+        # row r opens a new key and has code r
+        return [
+            (int(r) + 2, f"{self.header[0]} {self.keys[code[r]]} repeats line {code[r] + 2}")
+            for r in np.flatnonzero(code != np.arange(len(code)))[:1]
+        ]
+
+    def raise_first(self, errors: Iterable[tuple[int, str]] = ()) -> None:
+        """Raise the error, of the parse's and ``errors``, that comes first."""
+        errors = [*self.errors, *errors]
+        if errors:
+            line, message = min(errors, key=lambda e: e[0])
+            raise DataError(f"{self.path}{f' line {line}' if line else ''}: {message}")
+
+
+def _line_error(line: str, header: Sequence[str], kinds: Sequence) -> str:
+    """Why a line that ``np.loadtxt`` rejected is malformed."""
+    fields = next(csv.reader([line]), [])
+    if len(fields) != len(header):
+        return f"expected {len(header)} fields, got {len(fields)}"
+    for name, kind, text in zip(header[1:], kinds, fields[1:]):
+        try:
+            _DTYPES.get(kind, kind)(text)
+        except (ValueError, OverflowError):
+            what = {int: "an integer", float: "a number"}.get(kind)
+            return f"{name} {text!r} is not {what or 'one of ' + ', '.join(m.value for m in kind)}"
+    return "malformed line"
+
+
+def _parse_lines(lines: list[str], dtype, converters) -> np.ndarray | None:
+    """The lines as rows of ``dtype``; None unless every line is one row."""
+    if not lines:
+        return np.empty(0, dtype)
+    if any(map(str.isspace, lines)):  # loadtxt would skip a blank line
+        return None
+    try:
+        rows = np.loadtxt(
+            lines, dtype, delimiter=",", comments=None, quotechar='"',
+            converters=converters, ndmin=1,
+        )
+    except ValueError:
+        return None
+    return rows if len(rows) == len(lines) else None
+
+
+def _parse_block(lines: list[str], dtype, converters) -> tuple[np.ndarray, int]:
+    """The rows of the lines before the first malformed one, and that
+    line's index (``len(lines)`` when every line parses), found by bisection."""
+    rows = _parse_lines(lines, dtype, converters)
+    if rows is not None:
+        return rows, len(lines)
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _parse_lines(lines[:mid], dtype, converters) is None:
+            bad = mid
+        else:
+            good = mid
+    return _parse_lines(lines[:good], dtype, converters), good
+
+
+def _row_type(names: Sequence[str], kinds: Sequence) -> tuple[tuple, np.dtype]:
+    """Each non-key field's kind, and the dtype of a row."""
+    kinds = (*kinds, *kinds[-1:] * len(names))[: max(len(names) - 1, 0)]
+    fields = [("key", np.int32)] + [(f"f{i}", _DTYPES.get(k, object)) for i, k in enumerate(kinds)]
+    return kinds, np.dtype(fields)
+
+
+def _undecodable_line(path: Path) -> int:
+    with path.open("rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
+def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) -> Table:
+    """Parse a CSV table into one contiguous column per field.
+
+    ``header`` is the expected header line, or None to take the file's.
+    ``kinds`` gives each field after the key: ``int``, ``float`` or an
+    ``Enum`` of labels, the last one repeating for any further fields.  The
+    lines are parsed in blocks of ``_BLOCK_LINES``, one ``np.loadtxt`` call
+    each.  A missing, empty or undecodable file, a wrong header, a wrong
+    field count or a value that does not parse is returned as an error, not
+    raised, so that the caller raises whichever of these and its own errors
+    comes first in the file.
+    """
+    path = Path(path)
+    codes = defaultdict()
+    codes.default_factory = codes.__len__  # a new key takes the next code
+    names, blocks, errors = list(header or ()), [], []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            found = next(csv.reader(fh), None)
+            if found is None:
+                errors.append((0, "empty file"))
+            elif header is None and found:
+                names = found
+            elif found != names or not found:
+                expected = f"header {','.join(names)}" if names else "a header line"
+                errors.append((1, f"expected {expected}, got {','.join(found)}"))
+            row_kinds, dtype = _row_type(names, kinds)
+            converters = {i: k for i, k in enumerate(row_kinds, 1) if k not in _DTYPES}
+            converters[0] = codes.__getitem__
+            line_no = 2
+            while not errors and (lines := list(islice(fh, _BLOCK_LINES))):
+                rows, n_good = _parse_block(lines, dtype, converters)
+                blocks.append(rows)
+                if n_good < len(lines):
+                    errors.append((line_no + n_good, _line_error(lines[n_good], names, row_kinds)))
+                line_no += len(lines)
+    except FileNotFoundError:
+        errors.append((0, "file not found"))
+    except UnicodeDecodeError:
+        errors.append((_undecodable_line(path), "not UTF-8 text"))
+    except OSError as exc:
+        errors.append((0, f"cannot read ({exc.strerror})"))
+    blocks = blocks or [np.empty(0, _row_type(names, kinds)[1])]
+    columns = tuple(np.concatenate([b[name] for b in blocks]) for name in blocks[0].dtype.names)
+    return Table(path, tuple(names), list(codes), columns, errors)
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header line and one line per row; floats as ``repr(float(v))``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )

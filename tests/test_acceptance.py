@@ -70,7 +70,11 @@ def _random_dataset(rng, n_pumps, n_states=8, p=0):
         )
         for _ in range(n_obs)
     ]
-    return Dataset.from_rows(rows, n_pumps, n_states, p)
+    pump, state, dt, y, x = zip(*rows)
+    return Dataset(
+        y=y, dt=dt, k=np.subtract(state, 1), pump=pump, x=np.reshape(x, (n_obs, p)),
+        n_pumps=n_pumps, n_states=n_states,
+    )
 
 
 def test_criterion_1_gradient_correctness():

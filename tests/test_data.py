@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from pumpcausal import data as data_mod
+from pumpcausal import tables
 from pumpcausal.data import (
     CovariateSeries,
     Dataset,
-    InspectionRecord,
+    Inspections,
     build_transitions,
     ingest_inspections,
     ingest_timeseries,
-    read_transitions_csv,
+    transitions_header,
+    write_inspections_csv,
     write_timeseries_csv,
     write_transitions_csv,
 )
@@ -28,11 +29,9 @@ def _write(tmp_path, name, text):
 class TestIngestInspections:
     def test_basic_parse(self, tmp_path):
         path = _write(tmp_path, "i.csv", "pump_id,day,state\nP001,0,1\nP001,90,2\n")
-        records = ingest_inspections(path)
-        assert records == [
-            InspectionRecord("P001", 0, 1),
-            InspectionRecord("P001", 90, 2),
-        ]
+        inspections = ingest_inspections(path)
+        assert inspections.pump_ids == ("P001",)
+        assert _rows(inspections) == [("P001", 0, 1), ("P001", 90, 2)]
 
     def test_state_out_of_range(self, tmp_path):
         path = _write(tmp_path, "i.csv", "pump_id,day,state\nP001,0,9\n")
@@ -64,10 +63,9 @@ class TestIngestInspections:
             "i.csv",
             "pump_id,day,state\nA,0,1\nB,0,1\nA,30,1\nB,45,2\n",
         )
-        records = ingest_inspections(path)
-        assert [(r.pump_id, r.day) for r in records] == [
-            ("A", 0), ("A", 30), ("B", 0), ("B", 45),
-        ]
+        inspections = ingest_inspections(path)
+        assert inspections.pump_ids == ("A", "B")
+        assert _rows(inspections) == [("A", 0, 1), ("A", 30, 1), ("B", 0, 1), ("B", 45, 2)]
 
 
 class TestIngestTimeseries:
@@ -88,15 +86,15 @@ class TestIngestTimeseries:
             ingest_timeseries(path)
 
     # a block size of 2 puts most offending lines past the first block
-    @pytest.mark.parametrize("block_lines", [2, data_mod._BLOCK_LINES])
+    @pytest.mark.parametrize("block_lines", [2, tables._BLOCK_LINES])
     @pytest.mark.parametrize(
         "body, message",
         [
             ("P,0,1\nP,1,2,3\n", "line 3: expected 3 fields, got 4"),
             ("P,0,1\nP,1,2\nP,2\n", "line 4: expected 3 fields, got 2"),
             ("P,0,1\n\nP,1,2\n", "line 3: expected 3 fields, got 0"),
-            ("P,0,1\nP,1.5,2\n", "line 3: non-numeric day or value"),
-            ("P,0,1\nP,1,2\nP,2,abc\n", "line 4: non-numeric day or value"),
+            ("P,0,1\nP,1.5,2\n", "line 3: day '1.5' is not an integer"),
+            ("P,0,1\nP,1,2\nP,2,abc\n", "line 4: value 'abc' is not a number"),
             ("P,0,1\nP,1,nan\n", "line 3: non-finite value"),
             ("P,0,1\nP,1,2\nP,2,-inf\n", "line 4: non-finite value"),
             ("P,0,1\nP,2,1\n", r"line 3: pump P days not contiguous \(expected 1, got 2\)"),
@@ -105,13 +103,13 @@ class TestIngestTimeseries:
             # the first offending line in file order, whatever its kind
             ("P,0,1\nP,2,1\nP,3,x\n", r"line 3: pump P days not contiguous"),
             ("P,0,1\nP,1,inf\nP,2\n", "line 3: non-finite value"),
-            ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: non-numeric day or value"),
+            ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: value 'x' is not a number"),
         ],
     )
     def test_error_names_first_offending_line(
         self, tmp_path, monkeypatch, block_lines, body, message
     ):
-        monkeypatch.setattr(data_mod, "_BLOCK_LINES", block_lines)
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
         path = _write(tmp_path, "t.csv", "pump_id,day,value\n" + body)
         with pytest.raises(DataError, match=message):
             ingest_timeseries(path)
@@ -168,8 +166,25 @@ class TestWriteTimeseries:
             np.testing.assert_array_equal(a.values, b.values)
 
 
-def _records(*triples):
-    return [InspectionRecord(pid, day, state) for pid, day, state in triples]
+def _rows(inspections):
+    """The inspections as (pump_id, day, state) rows."""
+    return [
+        (inspections.pump_ids[p], d, s)
+        for p, d, s in zip(
+            inspections.pump.tolist(), inspections.day.tolist(), inspections.state.tolist()
+        )
+    ]
+
+
+def _inspections(*triples):
+    """Inspections of (pump_id, day, state) rows, each pump's rows together."""
+    pump_ids = tuple(dict.fromkeys(pid for pid, _, _ in triples))
+    return Inspections(
+        pump_ids,
+        [pump_ids.index(pid) for pid, _, _ in triples],
+        [day for _, day, _ in triples],
+        [state for _, _, state in triples],
+    )
 
 
 def _only_row(build):
@@ -181,35 +196,35 @@ def _only_row(build):
 
 class TestBuildTransitions:
     def test_no_change_interval(self):
-        build = build_transitions(_records(("P", 0, 1), ("P", 90, 1)))
+        build = build_transitions(_inspections(("P", 0, 1), ("P", 90, 1)))
         state, dt, y, _ = _only_row(build)
         assert (state, dt, y) == (1, 90.0, 0)
 
     def test_single_step(self):
-        build = build_transitions(_records(("P", 0, 1), ("P", 90, 2)))
+        build = build_transitions(_inspections(("P", 0, 1), ("P", 90, 2)))
         state, dt, y, _ = _only_row(build)
         assert (state, dt, y) == (1, 90.0, 1)
 
     def test_absorbing_state_produces_nothing(self):
-        build = build_transitions(_records(("P", 0, 8), ("P", 90, 8)))
+        build = build_transitions(_inspections(("P", 0, 8), ("P", 90, 8)))
         assert len(build.dataset) == 0
         assert build.dropped_absorbing == 1
 
     def test_multi_step_jump_counts_as_transition(self):
-        build = build_transitions(_records(("P", 0, 2), ("P", 60, 5)))
+        build = build_transitions(_inspections(("P", 0, 2), ("P", 60, 5)))
         state, _, y, _ = _only_row(build)
         assert (state, y) == (2, 1)
 
     def test_state_decrease_dropped_and_counted(self):
         build = build_transitions(
-            _records(("P", 0, 3), ("P", 50, 2), ("P", 100, 3))
+            _inspections(("P", 0, 3), ("P", 50, 2), ("P", 100, 3))
         )
         assert build.dropped_decrease == 1
         assert len(build.dataset) == 1
 
     def test_interval_covariate_is_mean_over_half_open_window(self):
         series = [CovariateSeries("P", 0, np.arange(10.0))]
-        build = build_transitions(_records(("P", 0, 1), ("P", 4, 1)), series)
+        build = build_transitions(_inspections(("P", 0, 1), ("P", 4, 1)), series)
         *_, x = _only_row(build)
         # days 0,1,2,3 -> mean 1.5
         np.testing.assert_allclose(x, [1.5])
@@ -217,15 +232,15 @@ class TestBuildTransitions:
     def test_missing_covariate_coverage(self):
         series = [CovariateSeries("P", 0, np.arange(3.0))]
         with pytest.raises(DataError, match="covers days"):
-            build_transitions(_records(("P", 0, 1), ("P", 4, 1)), series)
+            build_transitions(_inspections(("P", 0, 1), ("P", 4, 1)), series)
 
     def test_missing_covariate_series(self):
         series = [CovariateSeries("Q", 0, np.arange(10.0))]
         with pytest.raises(DataError):
-            build_transitions(_records(("P", 0, 1), ("P", 4, 1)), series)
+            build_transitions(_inspections(("P", 0, 1), ("P", 4, 1)), series)
 
     def test_count_conservation(self):
-        records = _records(
+        records = _inspections(
             ("A", 0, 1), ("A", 10, 2), ("A", 20, 1), ("A", 30, 8), ("A", 40, 8),
             ("B", 0, 7), ("B", 15, 8), ("B", 30, 8),
         )
@@ -260,28 +275,125 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match=message):
             Dataset(**{**_GOOD_COLUMNS, column: value}, n_pumps=2, n_states=8)
 
-    def test_row_covariate_width_checked(self):
-        with pytest.raises(DataError, match="covariate length 2 != 1"):
-            Dataset.from_rows([(0, 1, 30.0, 0, [1.0, 2.0])], 1, 8, 1)
+
+class TestInspections:
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            ((("P", 0, 1), ("P", 90, 9)), r"pump P: state 9 outside 1\.\.8"),
+            ((("P", 0, 0),), r"pump P: state 0 outside 1\.\.8"),
+            ((("P", -5, 1),), "pump P: negative day -5"),
+            ((("P", 0, 1), ("P", 0, 1)), r"pump P: days not strictly increasing \(0 then 0\)"),
+            ((("A", 0, 1), ("B", 90, 1), ("B", 30, 1)), r"pump B: days not strictly increasing"),
+        ],
+    )
+    def test_contract_checked_in_memory(self, triples, message):
+        with pytest.raises(DataError, match=message):
+            _inspections(*triples)
+
+    @pytest.mark.parametrize(
+        "pump_ids, pump",
+        [(("A", "B"), [0, 1, 0]), (("A", "B"), [1, 0]), (("A", "B"), [0, 0]), (("A",), [0, 1])],
+    )
+    def test_rows_must_run_by_pump_in_order(self, pump_ids, pump):
+        with pytest.raises(DataError, match="one run of rows per pump"):
+            Inspections(pump_ids, pump, range(0, 10 * len(pump), 10), [1] * len(pump))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("P,0,1\nP,90,9\n", r"line 3: pump P: state 9 outside 1\.\.8"),
+            ("P,0,1\nP,-1,1\n", "line 3: pump P: negative day -1"),
+            ("A,0,1\nB,50,1\nA,10,1\nB,40,2\nA,5,1\n",
+             r"line 5: pump B: days not strictly increasing \(50 then 40\)"),
+            ("P,0,1\nP,90,2,3\n", "line 3: expected 3 fields, got 4"),
+            ("P,0,1\nP,ninety,2\n", "line 3: day 'ninety' is not an integer"),
+            ("P,0,1\nP,0,9\n", "line 3: pump P: state 9"),  # the first of two faults
+        ],
+    )
+    def test_ingest_names_the_first_offending_line(self, tmp_path, body, message):
+        path = _write(tmp_path, "i.csv", "pump_id,day,state\n" + body)
+        with pytest.raises(DataError, match=message):
+            ingest_inspections(path)
+
+    def test_write_ingest_round_trip(self, tmp_path):
+        inspections = _inspections(("a,b", 0, 1), ("a,b", 40, 3), ("Q", 5, 8))
+        path = tmp_path / "inspections.csv"
+        write_inspections_csv(inspections, path)
+        assert _rows(ingest_inspections(path)) == _rows(inspections)
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "t.csv: file not found"),
+            ("", "t.csv: empty file"),
+            ("k,v\n", "line 1: expected header key,value, got k,v"),
+            ("key,value\na,1\nb,2,3\n", "line 3: expected 2 fields, got 3"),
+            ("key,value\na,1\nb,x\n", "line 3: value 'x' is not a number"),
+            ("key,value\na,1\nb,2\na,3\n", "line 4: key a repeats line 2"),
+        ],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        table = tables.read_table(path, ["key", "value"], (float,))
+        with pytest.raises(DataError, match=message):
+            table.raise_first(table.repeated_keys())
+
+    def test_undecodable_line_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"key,value\na,1\n\xff,2\n")
+        table = tables.read_table(path, ["key", "value"], (float,))
+        with pytest.raises(DataError, match="line 3: not UTF-8 text"):
+            table.raise_first()
+
+    def test_columns_keys_and_variable_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tables.write_table(path, ["id", "x", "y"], [["b", 1.5, 2], ['"a"', 0.1, 3], ["b", -0.0, 4]])
+        table = tables.read_table(path, None, (float,))
+        assert table.header == ("id", "x", "y") and not table.errors
+        assert table.keys == ["b", '"a"']
+        code, x, y = table.columns
+        np.testing.assert_array_equal(code, [0, 1, 0])
+        assert x.tolist() == [1.5, 0.1, -0.0] and np.signbit(x[2])
+        assert y.dtype == np.float64 and y.flags.c_contiguous
+
+    def test_label_kind_rejects_near_misses(self, tmp_path):
+        from pumpcausal.grouping import Group
+
+        path = _write(tmp_path, "g.csv", "id,group\na,positive\nb,positives\n")
+        table = tables.read_table(path, ["id", "group"], (Group,))
+        assert table.columns[1].tolist() == [Group.POSITIVE]
+        message = "line 3: group 'positives' is not one of positive, negative"
+        with pytest.raises(DataError, match=message):
+            table.raise_first()
 
 
 class TestRoundTrip:
     def test_transitions_csv_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = []
+        triples = []
         covariates = []
         for i in range(5):
             pid = f"P{i}"
             days = np.cumsum(rng.integers(5, 40, size=6)) - 5
             states = np.minimum(1 + np.cumsum(rng.integers(0, 2, size=6)), 8)
-            records.extend(
-                InspectionRecord(pid, int(d), int(s)) for d, s in zip(days, states)
-            )
+            triples.extend((pid, int(d), int(s)) for d, s in zip(days, states))
             covariates.append(
                 CovariateSeries(pid, int(days[0]), rng.normal(size=int(days[-1] - days[0]) + 1))
             )
-        build = build_transitions(records, covariates)
+        data = build_transitions(_inspections(*triples), covariates).dataset
         path = tmp_path / "transitions.csv"
-        write_transitions_csv(build.dataset, path)
-        again = read_transitions_csv(path, n_pumps=build.dataset.n_pumps)
-        assert again == build.dataset
+        write_transitions_csv(data, path)
+        header = transitions_header(data.n_covariates)
+        table = tables.read_table(path, header, (int, float, int, float))
+        assert not table.errors
+        code, state, dt, y, *x = table.columns
+        np.testing.assert_array_equal(np.array(table.keys, dtype=int)[code], data.pump)
+        np.testing.assert_array_equal(state - 1, data.k)
+        np.testing.assert_array_equal(dt, data.dt)
+        np.testing.assert_array_equal(y, data.y)
+        np.testing.assert_array_equal(np.column_stack(x), data.x)

@@ -13,7 +13,6 @@ from pumpcausal.grouping import (
     GroupAssignment,
     assign_groups,
     build_group_datasets,
-    is_viable,
     min_members,
 )
 
@@ -49,7 +48,7 @@ class TestAssignGroups:
         positive, negative = build_group_datasets(matrix, assignments)
         assert positive.count == 4
         assert negative.count == 0
-        assert not is_viable(negative)
+        assert negative.count < min_members(len(negative.feature_names))
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=40),
            st.floats(min_value=1e-9, max_value=5.0))

@@ -23,7 +23,17 @@ from pumpcausal.hazard import ParamLayout, grad_log_posterior, make_logp_and_gra
 
 
 def _dataset(observations, n_pumps, n_states=8, n_covariates=0):
-    return Dataset.from_rows(observations, n_pumps, n_states, n_covariates)
+    """Columns of (pump, 1-based state, dt, y, x) observations."""
+    pump, state, dt, y, x = zip(*observations) if observations else ((),) * 5
+    return Dataset(
+        y=y,
+        dt=dt,
+        k=np.asarray(state, dtype=np.intp) - 1,
+        pump=pump,
+        x=np.array(x, dtype=float).reshape(len(observations), n_covariates),
+        n_pumps=n_pumps,
+        n_states=n_states,
+    )
 
 
 def _obs(pump, state, dt, y, x=()):

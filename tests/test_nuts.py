@@ -50,17 +50,19 @@ def funnel_target(theta):
 
 def _hazard_problem(seed=0, n_pumps=6, n_obs=60):
     rng = np.random.default_rng(seed)
-    rows = [
+    pump, state, dt, y = zip(*(
         (
             int(rng.integers(0, n_pumps)),
             int(rng.integers(1, 8)),
             float(rng.uniform(5.0, 120.0)),
             int(rng.integers(0, 2)),
-            np.empty(0),
         )
         for _ in range(n_obs)
-    ]
-    data = Dataset.from_rows(rows, n_pumps, 8, 0)
+    ))
+    data = Dataset(
+        y=y, dt=dt, k=np.subtract(state, 1), pump=pump, x=np.empty((n_obs, 0)),
+        n_pumps=n_pumps, n_states=8,
+    )
     layout = ParamLayout.for_dataset(data)
     return make_logp_and_grad(data, layout), layout
 

@@ -1,6 +1,7 @@
 """Pipeline stages, caching, config parsing, and CLI exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,6 @@ class TestConfigLoading:
             },
             "synth": {
                 "n_pumps": ("12", "n_pumps", 12),
-                "n_states": ("6", "n_states", 6),
                 "sigma_u": ("0.5", "sigma_u", 0.5),
                 "study_days": ("400", "study_days", 400),
                 "interval_min": ("5", "interval_min", 5),
@@ -291,6 +291,16 @@ class TestPipelineCommand:
         assert "fit_cached" in timings
         assert (out / "report.json").read_bytes() == report_before
 
+    def test_cache_does_not_depend_on_threads(self, pipeline_run):
+        config_path, out, runner = pipeline_run
+        for threads in ("1", "2"):
+            result = runner.invoke(
+                main, ["--config", str(config_path), "--threads", threads, "pipeline"]
+            )
+            assert result.exit_code in (0, 3), result.output
+        timings = json.loads((out / "timings.json").read_text())
+        assert "fit_cached" in timings and "discover_cached" in timings
+
     def test_corrupted_cache_invalidated(self, pipeline_run):
         config_path, out, runner = pipeline_run
         report_before = (out / "report.json").read_bytes()
@@ -307,6 +317,53 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["--config", str(config_path), "report"])
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == before
+
+
+class TestMalformedArtifacts:
+    """A malformed artifact read back is a stage failure naming its line."""
+
+    @pytest.mark.parametrize(
+        "name, commands, message",
+        [
+            ("groups.csv", ("report", "discover"),
+             "group 'positve' is not one of positive, negative"),
+            ("u_estimates.csv", ("group",), "u_mean 'high' is not a number"),
+            ("features.csv", ("group",), "pump_id P000 repeats line 2"),
+        ],
+    )
+    def test_exit_2_with_file_and_line(self, pipeline_run, tmp_path, name, commands, message):
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        path = copy / name
+        lines = path.read_text().splitlines(keepends=True)
+        pump_id, u_mean, *rest = lines[-1].split(",")
+        corrupt = {  # the last line of each file, malformed
+            "groups.csv": f"{pump_id},{u_mean},positve\n",
+            "u_estimates.csv": ",".join([pump_id, "high", *rest]),
+            "features.csv": lines[1],  # the first pump's row again
+        }
+        lines[-1] = corrupt[name]
+        path.write_text("".join(lines))
+        for command in commands:
+            result = runner.invoke(
+                main, ["--config", str(config_path), "--out", str(copy), command]
+            )
+            assert result.exit_code == 2, result.output
+            assert f"{path} line {len(lines)}: {message}" in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+    def test_header_only_groups_file(self, pipeline_run, tmp_path):
+        # the u histogram of no pumps used to end in a traceback
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        path = copy / "groups.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "discover"])
+        assert result.exit_code == 2, result.output
+        assert f"{path} line 2: no pumps" in result.output
 
 
 class TestPipelineFailure:

@@ -35,11 +35,12 @@ class TestHazardData:
     def test_seed_determinism(self, tmp_path):
         a = generate_hazard_data(SynthConfig(seed=4, n_pumps=10))
         b = generate_hazard_data(SynthConfig(seed=4, n_pumps=10))
-        assert a.records == b.records
+        for name in ("pump", "day", "state"):
+            assert np.array_equal(getattr(a.inspections, name), getattr(b.inspections, name))
         assert a.dataset == b.dataset
         np.testing.assert_array_equal(a.truth.u_true, b.truth.u_true)
         for name, writer, items_a, items_b in (
-            ("i.csv", write_inspections_csv, a.records, b.records),
+            ("i.csv", write_inspections_csv, a.inspections, b.inspections),
             ("t.csv", write_timeseries_csv, a.covariates, b.covariates),
         ):
             pa, pb = tmp_path / f"a_{name}", tmp_path / f"b_{name}"
@@ -50,7 +51,7 @@ class TestHazardData:
     def test_shared_hazard_rate_matches_binomial(self):
         # sigma_u = 0, beta = (): every interval is Bernoulli(1 - exp(-l0*dt))
         config = SynthConfig(
-            seed=1, n_pumps=200, sigma_u=0.0, n_states=8,
+            seed=1, n_pumps=200, sigma_u=0.0,
             log_lambda0=(-5.0,) * 8, interval_min=90, interval_max=90,
         )
         synthesis = generate_hazard_data(config)
@@ -68,10 +69,10 @@ class TestHazardData:
     def test_states_capped_and_consistent(self):
         config = SynthConfig(seed=3, n_pumps=30, log_lambda0=(-3.0,) * 8)
         synthesis = generate_hazard_data(config)
-        states = [r.state for r in synthesis.records]
+        states = synthesis.inspections.state
         assert max(states) <= 8
         assert min(states) >= 1
-        # transitions derive from the records through the standard builder
+        # transitions derive from the inspections through the standard builder
         assert synthesis.build.dropped_decrease == 0
 
     def test_covariates_cover_study(self):
