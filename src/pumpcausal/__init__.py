@@ -9,7 +9,7 @@ from .data import (
     ingest_inspections,
     ingest_timeseries,
 )
-from .diagnostics import RandomEffectEstimate, ess, extract_random_effects, hdi, split_rhat
+from .diagnostics import ess, extract_random_effects, hdi, split_rhat
 from .features import (
     DEFAULT_ACTIVE_FEATURES,
     FEATURE_NAMES,
@@ -17,7 +17,7 @@ from .features import (
     extract_features,
     window_features,
 )
-from .grouping import Group, GroupAssignment, GroupDataset, assign_groups, build_group_datasets
+from .grouping import Group, GroupDataset, group_datasets, sign_groups
 from .hazard import ParamLayout, PriorSpec, grad_log_posterior, make_logp_and_grad
 from .lingam import (
     CausalModel,
@@ -46,10 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CovariateSeries", "Dataset", "Inspections",
     "build_transitions", "ingest_inspections", "ingest_timeseries",
-    "RandomEffectEstimate", "ess", "extract_random_effects", "hdi", "split_rhat",
+    "ess", "extract_random_effects", "hdi", "split_rhat",
     "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
     "extract_features", "window_features",
-    "Group", "GroupAssignment", "GroupDataset", "assign_groups", "build_group_datasets",
+    "Group", "GroupDataset", "group_datasets", "sign_groups",
     "ParamLayout", "PriorSpec", "grad_log_posterior", "make_logp_and_grad",
     "CausalModel", "IcaResult", "LingamConfig", "StandardizedData",
     "bootstrap_cis", "causal_order", "discover", "estimate_effects",

@@ -7,8 +7,6 @@ on the combined-chain autocorrelation estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SamplerError
@@ -85,48 +83,39 @@ def ess(draws: np.ndarray) -> float:
     return float(total / tau)
 
 
-def hdi(draws: np.ndarray, prob: float = 0.95) -> tuple[float, float]:
-    """Shortest interval containing ``prob`` of the draws (window scan)."""
-    draws = np.sort(np.asarray(draws, float).ravel())
+def hdi(draws: np.ndarray, prob: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest interval containing ``prob`` of the draws, per column of an
+    (n, P) matrix (a window scan over each sorted column).
+
+    Returns the (P,) columns of lower and upper ends; an (n,) vector of one
+    parameter's draws gives two scalars.
+    """
+    draws = np.sort(np.asarray(draws, float), axis=0)
     n = len(draws)
     if n == 0:
         raise SamplerError("hdi of empty draws")
     window = max(1, int(np.ceil(prob * n)))
     if window >= n:
-        return float(draws[0]), float(draws[-1])
+        return draws[0], draws[-1]
     widths = draws[window - 1 :] - draws[: n - window + 1]
-    start = int(np.argmin(widths))
-    return float(draws[start]), float(draws[start + window - 1])
+    start = np.expand_dims(np.argmin(widths, axis=0), 0)
+    return (
+        np.take_along_axis(draws, start, 0)[0],
+        np.take_along_axis(draws, start + window - 1, 0)[0],
+    )
 
 
-@dataclass(frozen=True)
-class RandomEffectEstimate:
-    """Posterior summary of one pump's log-hazard offset."""
-
-    pump_index: int
-    u_mean: float
-    hdi_low: float
-    hdi_high: float
-
-
-def extract_random_effects(samples, layout) -> list[RandomEffectEstimate]:
+def extract_random_effects(samples, layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posterior mean and 95% HDI of u_i = u_raw_i * sigma_u per pump.
 
     ``samples`` is a PosteriorSamples over the unconstrained space described
-    by ``layout`` (hazard.ParamLayout).
+    by ``layout`` (hazard.ParamLayout).  Returns the (n_pumps,) columns
+    ``u_mean``, ``hdi_low`` and ``hdi_high``.
     """
     flat = samples.flat()
     sigma = np.exp(flat[:, layout.zeta_index])
     u_draws = flat[:, layout.u_raw_slice] * sigma[:, None]
-    estimates = []
-    for i in range(layout.n_pumps):
-        low, high = hdi(u_draws[:, i])
-        estimates.append(
-            RandomEffectEstimate(
-                pump_index=i,
-                u_mean=float(u_draws[:, i].mean()),
-                hdi_low=low,
-                hdi_high=high,
-            )
-        )
-    return estimates
+    # each pump's draws made contiguous, so that its mean sums them in the
+    # same order as the mean of that pump's draws alone
+    u_mean = np.ascontiguousarray(u_draws.T).mean(axis=1)
+    return (u_mean, *hdi(u_draws))

@@ -5,11 +5,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagnostics import RandomEffectEstimate
 from .errors import DataError
 from .features import FeatureMatrix
 
@@ -22,22 +20,6 @@ class Group(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    pump_index: int
-    u_mean: float
-    group: Group
-
-
-@dataclass(frozen=True)
-class GroupSummary:
-    group: Group
-    count: int
-    share: float
-    u_min: float | None
-    u_max: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,27 +42,12 @@ class GroupDataset:
     def count(self) -> int:
         return len(self.pump_indices)
 
-    def summary(self, total: int) -> GroupSummary:
-        return GroupSummary(
-            group=self.group,
-            count=self.count,
-            share=self.count / total if total else 0.0,
-            u_min=float(self.target.min()) if self.count else None,
-            u_max=float(self.target.max()) if self.count else None,
-        )
 
-
-def assign_groups(estimates: Iterable[RandomEffectEstimate]) -> list[GroupAssignment]:
-    """u_mean > 0 goes to the positive group; u_mean <= 0 (ties included)
-    to the negative group."""
-    return [
-        GroupAssignment(
-            pump_index=e.pump_index,
-            u_mean=e.u_mean,
-            group=Group.POSITIVE if e.u_mean > 0.0 else Group.NEGATIVE,
-        )
-        for e in estimates
-    ]
+def sign_groups(u_mean: np.ndarray) -> np.ndarray:
+    """Each pump's Group: positive where u_mean > 0, negative otherwise
+    (ties, -0.0 included)."""
+    labels = np.array([Group.NEGATIVE, Group.POSITIVE], dtype=object)
+    return labels[(np.asarray(u_mean, float) > 0.0).astype(np.intp)]
 
 
 def min_members(n_features: int) -> int:
@@ -88,49 +55,31 @@ def min_members(n_features: int) -> int:
     return n_features + 2
 
 
-def build_group_datasets(
-    features: FeatureMatrix,
-    assignments: Sequence[GroupAssignment],
+def group_datasets(
+    features: FeatureMatrix, u_mean: np.ndarray, groups: np.ndarray
 ) -> tuple[GroupDataset, GroupDataset]:
-    """Split the feature matrix into (positive, negative) group datasets.
+    """The (positive, negative) group datasets: each the feature rows whose
+    label in ``groups`` is the group's, with ``u_mean`` as the target.
 
-    Assignment pump indices refer to feature-matrix rows; both inputs must
-    cover exactly the same pumps.  An empty group is allowed (warned, not an
-    error); downstream size gating decides whether discovery runs.
+    Entry i of ``u_mean`` and ``groups`` belongs to feature-matrix row i.  An
+    empty group is allowed (warned, not an error); downstream size gating
+    decides whether discovery runs.
     """
-    assigned = {a.pump_index for a in assignments}
-    expected = set(range(features.n_pumps))
-    if assigned != expected:
-        missing = sorted(expected - assigned)
-        extra = sorted(assigned - expected)
-        raise DataError(
-            f"assignments do not cover the feature matrix rows "
-            f"(missing {missing}, extra {extra})"
-        )
-    if len(assignments) != features.n_pumps:
-        raise DataError("duplicate pump index in assignments")
-
-    by_index = sorted(assignments, key=lambda a: a.pump_index)
+    if not len(u_mean) == len(groups) == features.n_pumps:
+        raise DataError("random effects, groups and feature rows differ in length")
+    u_mean, groups = np.asarray(u_mean, float), np.asarray(groups)
     out = []
-    for group in (Group.POSITIVE, Group.NEGATIVE):
-        members = [a for a in by_index if a.group is group]
-        idx = [a.pump_index for a in members]
-        dataset = GroupDataset(
-            group=group,
-            features=features.values[idx] if idx else np.empty(
-                (0, len(features.feature_names))
-            ),
-            target=np.array([a.u_mean for a in members]),
-            pump_indices=tuple(idx),
-            feature_names=features.feature_names,
-        )
-        summary = dataset.summary(features.n_pumps)
-        if dataset.count == 0:
+    for group in Group:
+        rows = np.flatnonzero(groups == group)
+        if not len(rows):
             logger.warning("group %s is empty", group.value)
-        logger.info(
-            "group %s: %d pumps (%.1f%%), u range [%s, %s]",
-            group.value, summary.count, 100 * summary.share,
-            summary.u_min, summary.u_max,
+        out.append(
+            GroupDataset(
+                group=group,
+                features=features.values[rows],
+                target=u_mean[rows],
+                pump_indices=tuple(rows.tolist()),
+                feature_names=features.feature_names,
+            )
         )
-        out.append(dataset)
     return out[0], out[1]

@@ -555,7 +555,6 @@ class CausalModel:
 
     def target_edge_table(self) -> list[dict]:
         """Feature -> target rows sorted by |effect| descending (raw units)."""
-        t = self.target_index
         rows = [
             row
             for row in self.edge_rows()

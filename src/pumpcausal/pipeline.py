@@ -26,15 +26,9 @@ import numpy as np
 from . import data as data_mod
 from . import features as features_mod
 from . import lingam as lingam_mod
-from .diagnostics import RandomEffectEstimate, extract_random_effects
+from .diagnostics import extract_random_effects
 from .errors import ConfigError, DataError, PumpcausalError, StageError
-from .grouping import (
-    Group,
-    GroupAssignment,
-    assign_groups,
-    build_group_datasets,
-    min_members,
-)
+from .grouping import Group, group_datasets, min_members, sign_groups
 from .hazard import ParamLayout, make_logp_and_grad
 from .lingam import LingamConfig
 from .nuts import (
@@ -45,7 +39,7 @@ from .nuts import (
     write_draws_csv,
 )
 from .synth import SynthConfig, generate_hazard_data
-from .tables import read_table, write_table
+from .tables import read_json, read_table, write_table
 
 STAGES = ("synth", "fit", "features", "group", "discover")
 
@@ -68,6 +62,10 @@ FILES = {
 U_HIST_BINS = 20
 U_ESTIMATES_HEADER = ["pump_id", "u_mean", "hdi_low", "hdi_high"]
 GROUPS_HEADER = ["pump_id", "u_mean", "group"]
+_PER_PUMP = {  # artifacts with one row per pump: header, kinds of the fields
+    "u_estimates": (U_ESTIMATES_HEADER, (float,)),
+    "groups": (GROUPS_HEADER, (float, Group)),
+}
 
 
 @dataclass(frozen=True)
@@ -276,30 +274,13 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
             "dropped_absorbing": build.dropped_absorbing,
         }
         write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
+        u_columns = extract_random_effects(samples, layout)
         write_table(
             cfg.path("u_estimates"),
             U_ESTIMATES_HEADER,
-            (
-                [build.pump_ids[e.pump_index], e.u_mean, e.hdi_low, e.hdi_high]
-                for e in extract_random_effects(samples, layout)
-            ),
+            zip(build.pump_ids, *(c.tolist() for c in u_columns)),
         )
         return diagnostic_flags(samples)
-
-
-def _read_per_pump(path: Path, header: list[str], kinds: tuple) -> dict[str, tuple]:
-    """A one-row-per-pump artifact as pump id -> the row's other fields."""
-    table = read_table(path, header, kinds)
-    table.raise_first(table.repeated_keys() if table.keys else [(2, "no pumps")])
-    return dict(zip(table.keys, zip(*(c.tolist() for c in table.columns[1:]))))
-
-
-def read_u_estimates(path: Path) -> dict[str, tuple[float, float, float]]:
-    return _read_per_pump(path, U_ESTIMATES_HEADER, (float,))
-
-
-def read_groups(path: Path) -> dict[str, tuple[float, Group]]:
-    return _read_per_pump(path, GROUPS_HEADER, (float, Group))
 
 
 def run_features(cfg: PipelineConfig) -> None:
@@ -318,43 +299,52 @@ def run_features(cfg: PipelineConfig) -> None:
         features_mod.write_features_csv(matrix, cfg.path("features"))
 
 
-def _features_with(cfg: PipelineConfig, path: Path, fields: dict[str, tuple]):
-    """The feature matrix, and the ``fields`` of each of its pumps, read
-    from ``path``, which must hold the same pumps."""
+def _read_per_pump(cfg: PipelineConfig, key: str):
+    """The one-row-per-pump artifact ``key``; a repeated pump id, or no
+    pump at all, is an error."""
+    table = read_table(cfg.path(key), *_PER_PUMP[key])
+    table.raise_first(table.repeated_keys() if table.keys else [(2, "no pumps")])
+    return table
+
+
+def _read_with_features(cfg: PipelineConfig, key: str):
+    """The feature matrix, and the columns after the pump id of the
+    one-row-per-pump artifact ``key`` in the matrix's pump order; the two
+    files must hold the same pumps."""
+    path = cfg.path(key)
+    table = _read_per_pump(cfg, key)
     matrix = features_mod.read_features_csv(cfg.path("features"))
-    missing = [pid for pid in matrix.pump_ids if pid not in fields]
-    extra = sorted(set(fields) - set(matrix.pump_ids))
+    row = {pid: r for r, pid in enumerate(table.keys)}  # keys do not repeat
+    missing = [pid for pid in matrix.pump_ids if pid not in row]
+    extra = sorted(set(row).difference(matrix.pump_ids))
     if missing or extra:
         raise DataError(
             f"pump sets differ between {cfg.path('features')} and {path} "
             f"(only in the features: {missing}, only in {path.name}: {extra})"
         )
-    return matrix, [fields[pid] for pid in matrix.pump_ids]
+    order = [row[pid] for pid in matrix.pump_ids]
+    return matrix, [c[order] for c in table.columns[1:]]
 
 
 def run_group(cfg: PipelineConfig) -> None:
     """Assign pumps to sign groups and persist the assignment."""
     with _stage_guard("group"):
-        path = cfg.path("u_estimates")
-        matrix, fields = _features_with(cfg, path, read_u_estimates(path))
-        assignments = assign_groups(RandomEffectEstimate(i, *f) for i, f in enumerate(fields))
+        matrix, (u_mean, _, _) = _read_with_features(cfg, "u_estimates")
         write_table(
             cfg.path("groups"),
             GROUPS_HEADER,
-            ([matrix.pump_ids[a.pump_index], a.u_mean, a.group.value] for a in assignments),
+            zip(matrix.pump_ids, u_mean.tolist(), [g.value for g in sign_groups(u_mean)]),
         )
 
 
-def _write_u_hist(groups: dict[str, tuple[float, Group]], path: Path) -> None:
+def _write_u_hist(u_mean: np.ndarray, groups: np.ndarray, path: Path) -> None:
     """Histogram counts of u by group: the data behind the distribution figure."""
-    u_all = np.array([u for u, _ in groups.values()])
-    lo, hi = float(u_all.min()), float(u_all.max())
+    lo, hi = float(u_mean.min()), float(u_mean.max())
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, U_HIST_BINS + 1)
     counts = [  # positive, then negative
-        np.histogram([u for u, g in groups.values() if g is group], bins=edges)[0].tolist()
-        for group in Group
+        np.histogram(u_mean[groups == group], bins=edges)[0].tolist() for group in Group
     ]
     write_table(
         path,
@@ -388,13 +378,10 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
     Returns a flag when no group was large enough to analyse.
     """
     with _stage_guard("discover"):
-        path = cfg.path("groups")
-        groups = read_groups(path)
-        _write_u_hist(groups, cfg.path("u_hist"))
-        matrix, fields = _features_with(cfg, path, groups)
-        assignments = [GroupAssignment(i, *f) for i, f in enumerate(fields)]
+        matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
+        _write_u_hist(u_mean, groups, cfg.path("u_hist"))
         skipped: list[str] = []
-        for group_data in build_group_datasets(matrix, assignments):
+        for group_data in group_datasets(matrix, u_mean, groups):
             paths = group_artifact_paths(cfg, group_data.group)
             if group_data.count < min_members(len(group_data.feature_names)):
                 skipped.append(group_data.group.value)
@@ -448,19 +435,16 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
     """Assemble the run report purely from persisted stage artifacts."""
     with _stage_guard("report"):
         diag_path = cfg.path("diagnostics")
-        sampler_summary: dict = {}
-        if diag_path.exists():
-            sampler_summary = json.loads(diag_path.read_text(encoding="utf-8"))["summary"]
-        groups = read_groups(cfg.path("groups"))
-        total = len(groups)
+        sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
+        _, u_mean, groups = _read_per_pump(cfg, "groups").columns
         groups_summary = {}
-        for group in (Group.POSITIVE, Group.NEGATIVE):
-            us = [u for u, g in groups.values() if g is group]
+        for group in Group:
+            u = u_mean[groups == group]
             groups_summary[group.value] = {
-                "count": len(us),
-                "share": len(us) / total if total else 0.0,
-                "u_min": min(us) if us else None,
-                "u_max": max(us) if us else None,
+                "count": len(u),
+                "share": len(u) / len(u_mean),
+                "u_min": float(u.min()) if len(u) else None,
+                "u_max": float(u.max()) if len(u) else None,
             }
         effects: dict[str, list[dict]] = {}
         max_effect: dict[str, float] = {}
@@ -469,25 +453,21 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
             skipped_groups = [
                 g.value for g in Group if not group_artifact_paths(cfg, g)["effects"].exists()
             ]
-        for group in (Group.POSITIVE, Group.NEGATIVE):
+        for group in Group:
             paths = group_artifact_paths(cfg, group)
             if group.value in skipped_groups or not paths["effects"].exists():
                 continue
             table = _read_effects_csv(paths["effects"])
             if paths["discovery"].exists():
-                discovery[group.value] = json.loads(
-                    paths["discovery"].read_text(encoding="utf-8")
-                )
+                discovery[group.value] = read_json(paths["discovery"])
             effects[group.value] = table[: cfg.top_k]
             max_effect[group.value] = max(
                 (abs(r["effect"]) for r in table), default=0.0
             )
-        if len(max_effect) == 2:
-            hi = max(max_effect.values())
-            lo = min(max_effect.values())
-            gap_ratio: float | None = hi / lo if lo > 0.0 else float("inf")
-        else:
-            gap_ratio = None
+        # null unless both groups were analysed and the smaller largest effect
+        # is not zero: a zero there makes the ratio infinite or 0/0
+        lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
+        gap_ratio = hi / lo if lo > 0.0 else None
         report = RunReport(
             sampler=sampler_summary,
             groups=groups_summary,
@@ -497,7 +477,8 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
             discovery=discovery,
         )
         cfg.path("report").write_text(
-            json.dumps(dataclasses.asdict(report), indent=2) + "\n", encoding="utf-8"
+            json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False) + "\n",
+            encoding="utf-8",
         )
         return report
 
@@ -567,14 +548,12 @@ def _stage_output_paths(cfg: PipelineConfig, stage: str) -> list[Path]:
 
 
 def _load_manifest(cfg: PipelineConfig) -> dict:
-    path = cfg.path("manifest")
-    if not path.exists():
-        return {}
+    """The stage cache; a missing or unreadable manifest is an empty one."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        return manifest if isinstance(manifest, dict) else {}
-    except json.JSONDecodeError:
+        manifest = read_json(cfg.path("manifest"))
+    except DataError:
         return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def _stage_cached(cfg: PipelineConfig, manifest: dict, stage: str) -> bool:
@@ -634,5 +613,5 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
         cfg.path("timings").write_text(
             json.dumps(timings, indent=2) + "\n", encoding="utf-8"
         )
-    report = json.loads(cfg.path("report").read_text(encoding="utf-8"))
+    report = read_json(cfg.path("report"))
     return list(report["sampler"].get("flags", [])) + _discovery_flags(report["skipped_groups"])

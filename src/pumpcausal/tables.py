@@ -1,4 +1,5 @@
-"""The CSV format of every input file and artifact: one reader, one writer.
+"""The CSV format of every input file and artifact: one reader, one writer;
+and the one reader of the JSON artifacts.
 
 A table is a header line, then one line per row of comma-separated fields,
 quoted as ``csv`` quotes them.  The first field of a row is its key (a pump
@@ -10,6 +11,7 @@ value, so every table round-trips exactly.
 from __future__ import annotations
 
 import csv
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
@@ -174,3 +176,19 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
         )
+
+
+def read_json(path: str | Path):
+    """A JSON artifact's value; a missing, unreadable or malformed file is a
+    DataError naming the file (and, for malformed JSON, the line)."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} line {exc.lineno}: {exc.msg}") from None
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None

@@ -25,7 +25,7 @@ import pumpcausal.rng as rng_mod
 from pumpcausal.data import Dataset
 from pumpcausal.diagnostics import extract_random_effects
 from pumpcausal.features import FEATURE_NAMES, window_features
-from pumpcausal.grouping import Group, GroupDataset, assign_groups, build_group_datasets
+from pumpcausal.grouping import Group, GroupDataset, group_datasets, sign_groups
 from pumpcausal.hazard import ParamLayout, grad_log_posterior, make_logp_and_grad
 from pumpcausal.lingam import (
     LingamConfig,
@@ -169,8 +169,7 @@ def test_criterion_3_hierarchical_recovery():
     sigma_means = []
     for seed in range(10):
         synthesis, layout, samples = _fit_synthetic(seed)
-        estimates = extract_random_effects(samples, layout)
-        u_mean = np.array([e.u_mean for e in estimates])
+        u_mean, _, _ = extract_random_effects(samples, layout)
         strong = np.abs(synthesis.truth.u_true) > 0.5
         sign_hits += int(np.sum(np.sign(u_mean[strong]) == np.sign(synthesis.truth.u_true[strong])))
         sign_total += int(strong.sum())
@@ -424,28 +423,21 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_grouping_exactness():
     rng = np.random.default_rng(9)
     u = np.concatenate([rng.normal(0.0, 1.5, 109), [0.0, -0.0, 1e-12]])
-    from pumpcausal.diagnostics import RandomEffectEstimate
-
-    estimates = [RandomEffectEstimate(i, float(v), float(v), float(v)) for i, v in enumerate(u)]
-    assignments = assign_groups(estimates)
-    sign_ok = all(
-        (a.group is Group.POSITIVE) == (a.u_mean > 0.0) for a in assignments
-    )
-    zero_ok = all(
-        a.group is Group.NEGATIVE for a in assignments if a.u_mean == 0.0
-    )
+    groups = sign_groups(u)
+    sign_ok = all((g is Group.POSITIVE) == (v > 0.0) for g, v in zip(groups, u))
+    zero_ok = all(g is Group.NEGATIVE for g, v in zip(groups, u) if v == 0.0)
     matrix = FeatureMatrix(
         pump_ids=tuple(f"P{i:03d}" for i in range(len(u))),
         feature_names=("f0", "f1"),
         values=rng.standard_normal((len(u), 2)),
     )
-    positive, negative = build_group_datasets(matrix, assignments)
+    positive, negative = group_datasets(matrix, u, groups)
     n_pos_direct = int(np.sum(u > 0.0))
     counts_ok = (
         positive.count == n_pos_direct
         and negative.count == len(u) - n_pos_direct
-        and positive.summary(len(u)).share == pytest.approx(n_pos_direct / len(u))
-        and negative.summary(len(u)).share == pytest.approx(1 - n_pos_direct / len(u))
+        and positive.count / len(u) == pytest.approx(n_pos_direct / len(u))
+        and negative.count / len(u) == pytest.approx(1 - n_pos_direct / len(u))
     )
     _report(
         9,

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import ks_statistic, nuts_chain_serial, standard_normal_cdf
-from pumpcausal.diagnostics import (
-    RandomEffectEstimate,
-    ess,
-    extract_random_effects,
-    hdi,
-    split_rhat,
-)
+from pumpcausal.diagnostics import ess, extract_random_effects, hdi, split_rhat
 from pumpcausal.errors import SamplerError
 from pumpcausal.data import Dataset
 from pumpcausal.hazard import ParamLayout, make_logp_and_grad
@@ -145,6 +139,13 @@ class TestHdi:
     def test_small_sample_covers_everything(self):
         assert hdi(np.array([1.0, 2.0, 3.0, 4.0])) == (1.0, 4.0)
 
+    def test_columns_match_one_column_at_a_time(self):
+        draws = np.random.default_rng(5).standard_normal((200, 7)) * np.arange(1, 8)
+        low, high = hdi(draws)
+        assert low.shape == high.shape == (7,)
+        for i in range(7):
+            assert hdi(draws[:, i]) == (low[i], high[i])
+
 
 class TestExtractRandomEffects:
     def _samples(self, u_draws, zeta_draws):
@@ -167,20 +168,20 @@ class TestExtractRandomEffects:
 
     def test_constant_zero(self):
         samples, layout = self._samples([0.0] * 10, [0.0] * 10)
-        (est,) = extract_random_effects(samples, layout)
-        assert est == RandomEffectEstimate(0, 0.0, 0.0, 0.0)
+        columns = extract_random_effects(samples, layout)
+        assert [c.tolist() for c in columns] == [[0.0], [0.0], [0.0]]
 
     def test_arithmetic_mean_with_unit_sigma(self):
         samples, layout = self._samples([1.0, 2.0, 3.0, 4.0], [0.0] * 4)
-        (est,) = extract_random_effects(samples, layout)
-        assert est.u_mean == pytest.approx(2.5)
-        assert (est.hdi_low, est.hdi_high) == (1.0, 4.0)
+        u_mean, hdi_low, hdi_high = extract_random_effects(samples, layout)
+        assert u_mean.tolist() == pytest.approx([2.5])
+        assert (hdi_low.tolist(), hdi_high.tolist()) == ([1.0], [4.0])
 
     def test_sigma_scales_effects(self):
         zeta = math.log(2.0)
         samples, layout = self._samples([1.0, 1.0, 1.0, 1.0], [zeta] * 4)
-        (est,) = extract_random_effects(samples, layout)
-        assert est.u_mean == pytest.approx(2.0)
+        u_mean, _, _ = extract_random_effects(samples, layout)
+        assert u_mean.tolist() == pytest.approx([2.0])
 
 
 class TestSample:

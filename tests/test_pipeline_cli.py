@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -264,6 +265,18 @@ class TestPipelineCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert report["sampler"] == diag["summary"]
 
+    def test_report_is_strict_json(self, pipeline_run):
+        _, out, _ = pipeline_run
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        # at seed 11 the positive group's causal order puts u first, so its
+        # effects on u are all zero and the gap ratio is undefined
+        assert report["groups"]["positive"]["count"] > 0
+        assert report["gap_ratio"] is None
+
     def test_diagnostics_record_chains_and_data(self, pipeline_run):
         _, out, _ = pipeline_run
         diag = json.loads((out / "diagnostics.json").read_text())
@@ -354,6 +367,17 @@ class TestMalformedArtifacts:
             assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+    def test_malformed_json_artifact(self, pipeline_run, tmp_path):
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        path = copy / "diagnostics.json"
+        path.write_text("{\n{broken\n")
+        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "report"])
+        assert result.exit_code == 2, result.output
+        assert f"{path} line 2: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_header_only_groups_file(self, pipeline_run, tmp_path):
         # the u histogram of no pumps used to end in a traceback
         config_path, out, runner = pipeline_run
@@ -364,6 +388,59 @@ class TestMalformedArtifacts:
         result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "discover"])
         assert result.exit_code == 2, result.output
         assert f"{path} line 2: no pumps" in result.output
+
+
+class TestPumpSets:
+    """Per-pump artifacts are matched to the feature matrix by pump id."""
+
+    def _copy(self, pipeline_run, tmp_path):
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+
+        def invoke(command):
+            return runner.invoke(
+                main, ["--config", str(config_path), "--out", str(copy), command]
+            )
+
+        return copy, invoke
+
+    def test_missing_pump_in_u_estimates(self, pipeline_run, tmp_path):
+        copy, invoke = self._copy(pipeline_run, tmp_path)
+        path = copy / "u_estimates.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        missing = lines[-1].split(",")[0]
+        result = invoke("group")
+        assert result.exit_code == 2, result.output
+        assert "pump sets differ" in result.output
+        assert f"only in the features: ['{missing}']" in result.output
+
+    def test_extra_pump_in_groups(self, pipeline_run, tmp_path):
+        copy, invoke = self._copy(pipeline_run, tmp_path)
+        path = copy / "groups.csv"
+        path.write_text(path.read_text() + "X999,0.5,positive\n")
+        result = invoke("discover")
+        assert result.exit_code == 2, result.output
+        assert "pump sets differ" in result.output
+        assert "only in groups.csv: ['X999']" in result.output
+
+    def test_shuffled_u_estimates_follow_the_features(self, pipeline_run, tmp_path):
+        copy, invoke = self._copy(pipeline_run, tmp_path)
+        path = copy / "u_estimates.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        assert shuffled != rows
+        path.write_text(header + "".join(shuffled))
+        before = (copy / "groups.csv").read_bytes()
+        (copy / "groups.csv").unlink()
+        assert invoke("group").exit_code == 0
+        u_mean = {r.split(",")[0]: r.split(",")[1] for r in rows}
+        feature_ids = [r.split(",")[0] for r in (copy / "features.csv").read_text().splitlines()[1:]]
+        groups = [r.split(",") for r in (copy / "groups.csv").read_text().splitlines()[1:]]
+        assert [g[0] for g in groups] == feature_ids
+        assert all(g[1] == u_mean[g[0]] for g in groups)
+        assert (copy / "groups.csv").read_bytes() == before
 
 
 class TestPipelineFailure:
