@@ -1,12 +1,13 @@
 """Self-contained No-U-Turn sampler with warmup adaptation.
 
-Multinomial NUTS over a user-supplied (log-density, gradient) callback:
-trajectories are doubled until the generalized U-turn criterion or the
-maximum tree depth, with proposals drawn by biased-progressive multinomial
-sampling over the trajectory.  Warmup combines dual-averaging step-size
-adaptation toward the target acceptance rate with diagonal mass-matrix
-estimation over expanding windows.  Chains are independent and owned by
-per-chain RNG streams, so results do not depend on scheduling.
+Multinomial NUTS over a user-supplied callback that returns the log-density
+and gradient of each row of a batch of points: trajectories are doubled
+until the generalized U-turn criterion or the maximum tree depth, with
+proposals drawn by biased-progressive multinomial sampling over the
+trajectory.  Warmup combines dual-averaging step-size adaptation toward the
+target acceptance rate with diagonal mass-matrix estimation over expanding
+windows.  Chains are independent and owned by per-chain RNG streams, so
+results do not depend on scheduling.
 
 The trajectories are built iteratively, all chains of a group in lock-step
 (after NumPyro's iterative NUTS, Phan et al. 2019, and TFP's batched NUTS,
@@ -44,8 +45,8 @@ _INIT_BUFFER = 75
 _TERM_BUFFER = 50
 _BASE_WINDOW = 25
 
-TargetFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-BatchTargetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# theta (C, dim) -> (logp (C,), grad (C, dim)); row c depends on row c only
+TargetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -137,19 +138,6 @@ def _energy_error(logp, r, half_inv_mass, energy0) -> tuple[np.ndarray, np.ndarr
     return np.where(np.isfinite(d_energy), d_energy, np.inf), r_sharp
 
 
-def _looped(target: TargetFn) -> BatchTargetFn:
-    """A plain theta -> (logp, grad) callable applied to each row in turn."""
-
-    def batched(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        results = [target(row) for row in theta]
-        return (
-            np.array([logp for logp, _ in results], float),
-            np.array([grad for _, grad in results], float),
-        )
-
-    return batched
-
-
 class _Chains:
     """A group of chains moved through their iterations in lock-step.
 
@@ -162,7 +150,7 @@ class _Chains:
     depend on which chains share its group.
     """
 
-    def __init__(self, target: BatchTargetFn, dim: int, rngs: list):
+    def __init__(self, target: TargetFn, dim: int, rngs: list):
         self.target = target
         self.dim = dim
         self.rngs = rngs
@@ -408,7 +396,7 @@ class _DualAveraging:
 # energies are detected and treated as divergences, so keep numpy quiet
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chains(
-    target: BatchTargetFn,
+    target: TargetFn,
     dim: int,
     config: SamplerConfig,
     chains: np.ndarray,
@@ -476,18 +464,15 @@ def _run_chains(
 
 
 def sample(
-    logp_and_grad: TargetFn | BatchTargetFn,
+    logp_and_grad: TargetFn,
     dim: int,
     config: SamplerConfig,
     init_center: np.ndarray | None = None,
-    *,
-    batched: bool = False,
 ) -> PosteriorSamples:
     """Run ``config.n_chains`` independent NUTS chains on the target.
 
-    A plain target maps theta (dim,) to (logp, grad) and is called once per
-    row; with ``batched=True`` it maps theta (C, dim) to (logp (C,), grad
-    (C, dim)), and row c of its result must not depend on the other rows.
+    The target maps theta (C, dim) to (logp (C,), grad (C, dim)), and row c
+    of its result must not depend on the other rows.
     Chains start uniform in [-1, 1] per coordinate around ``init_center``
     (origin by default); pass the prior location for targets whose mass sits
     far from the origin.  Chain c uses the RNG stream (seed, chain-key, c).
@@ -498,12 +483,11 @@ def sample(
         init_center = np.asarray(init_center, float)
         if init_center.shape != (dim,):
             raise SamplerError(f"init_center must have shape ({dim},)")
-    target = logp_and_grad if batched else _looped(logp_and_grad)
     groups = np.array_split(
         np.arange(config.n_chains), rng_mod.worker_count(config.threads, config.n_chains)
     )
     parts = rng_mod.map_replicas(
-        lambda g: _run_chains(target, dim, config, groups[g], init_center),
+        lambda g: _run_chains(logp_and_grad, dim, config, groups[g], init_center),
         len(groups),
         config.threads,
     )
@@ -542,6 +526,11 @@ def _extreme(values: np.ndarray, reduce) -> float | None:
     return None if np.isnan(values).all() else float(reduce(values))
 
 
+def _json_number(value: float | None) -> float | None:
+    """A diagnostic as strict JSON: None (null) unless it is finite."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def diagnostic_flags(samples: PosteriorSamples, ess_per_chain: float = 400.0) -> list[str]:
     """Soft convergence flags: reported, never a hard failure."""
     flags = []
@@ -573,20 +562,21 @@ def write_diagnostics_json(
     data: dict | None = None,
 ) -> None:
     """Sampler summary, per-parameter and per-chain diagnostics, and the
-    optional ``data`` record; diagnostics that were not computed are null."""
+    optional ``data`` record; diagnostics that were not computed, or are not
+    finite, are null (the flags still name an infinite R-hat)."""
     if len(names) != samples.dim:
         raise SamplerError("name count does not match draw dimension")
     payload = {
         "summary": {
-            "max_rhat": _extreme(samples.rhat, np.nanmax),
-            "min_ess_bulk": _extreme(samples.ess_bulk, np.nanmin),
+            "max_rhat": _json_number(_extreme(samples.rhat, np.nanmax)),
+            "min_ess_bulk": _json_number(_extreme(samples.ess_bulk, np.nanmin)),
             "total_divergences": int(samples.divergences.sum()),
             "flags": diagnostic_flags(samples),
         },
         "parameters": {
             name: {
-                "rhat": _extreme(samples.rhat[j], float),
-                "ess_bulk": _extreme(samples.ess_bulk[j], float),
+                "rhat": _json_number(float(samples.rhat[j])),
+                "ess_bulk": _json_number(float(samples.ess_bulk[j])),
             }
             for j, name in enumerate(names)
         },
@@ -603,4 +593,6 @@ def write_diagnostics_json(
     }
     if data is not None:
         payload["data"] = data
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )

@@ -27,7 +27,14 @@ from . import data as data_mod
 from . import features as features_mod
 from . import lingam as lingam_mod
 from .diagnostics import extract_random_effects
-from .errors import ConfigError, DataError, PumpcausalError, StageError
+from .errors import (
+    ConfigError,
+    DataError,
+    LingamError,
+    PumpcausalError,
+    SamplerError,
+    StageError,
+)
 from .grouping import Group, group_datasets, min_members, sign_groups
 from .hazard import ParamLayout, make_logp_and_grad
 from .lingam import LingamConfig
@@ -74,7 +81,8 @@ class PipelineConfig:
 
     The sampler and LiNGAM defaults are those of ``SamplerConfig`` and
     ``LingamConfig``, whose fields ``sampler_config`` and ``lingam_config``
-    copy from here by name.
+    copy from here by name; their checks run when this config is built, so a
+    bad setting is rejected before any stage runs.
     """
 
     out_dir: Path = Path("out")
@@ -112,10 +120,17 @@ class PipelineConfig:
             raise ConfigError(f"unknown active features: {unknown}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if self.threads is not None and self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
         if self.feature_window < features_mod.MIN_WINDOW:
             raise ConfigError(
                 f"feature window must be >= {features_mod.MIN_WINDOW}, got {self.feature_window}"
             )
+        try:
+            self.sampler_config()
+            self.lingam_config()
+        except (SamplerError, LingamError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def _project(self, cls):
         return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
@@ -143,7 +158,7 @@ _SECTION_KEYS = {
     "pipeline": {"out_dir", "seed", "threads", "source", "inspections", "timeseries", "top_k"},
     "synth": {
         "n_pumps", "sigma_u", "study_days", "interval_min",
-        "interval_max", "ar_coeff", "ar_noise_sd", "scenario_rows",
+        "interval_max", "ar_coeff", "ar_noise_sd",
     },
     "sampler": {"n_draws", "n_tune", "n_chains", "target_accept", "max_tree_depth"},
     "hazard": {"use_covariates"},
@@ -164,8 +179,11 @@ def _parse_value(raw: str, kind):
     args = typing.get_args(kind)
     if type(None) in args:  # X | None parses as X
         (kind,) = (a for a in args if a is not type(None))
-    if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+    if kind is bool:  # configparser's boolean words, nothing else
+        word = raw.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     return kind(raw)
 
 
@@ -259,11 +277,7 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         layout = ParamLayout.for_dataset(build.dataset)
         target = make_logp_and_grad(build.dataset, layout)
         samples = sample(
-            target,
-            layout.dim,
-            cfg.sampler_config(),
-            init_center=layout.prior_center(),
-            batched=True,
+            target, layout.dim, cfg.sampler_config(), init_center=layout.prior_center()
         )
         names = layout.names()
         write_draws_csv(samples, names, cfg.path("draws"))
@@ -368,23 +382,21 @@ def _discovery_flags(skipped_groups: list[str]) -> list[str]:
     """A flag when every group was skipped, so discovery produced nothing."""
     if len(skipped_groups) < len(Group):
         return []
-    skipped = ", ".join(sorted(skipped_groups))
-    return [f"no group analysed: skipped {skipped} (too few members)"]
+    return [f"no group analysed: skipped {', '.join(skipped_groups)} (too few members)"]
 
 
 def run_discover(cfg: PipelineConfig) -> list[str]:
     """Per-group causal discovery plus figure data and the run report.
 
-    Returns a flag when no group was large enough to analyse.
+    Returns a flag when no group was large enough to analyse.  A skipped
+    group leaves no artifact, which is how the report finds it.
     """
     with _stage_guard("discover"):
         matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
         _write_u_hist(u_mean, groups, cfg.path("u_hist"))
-        skipped: list[str] = []
         for group_data in group_datasets(matrix, u_mean, groups):
             paths = group_artifact_paths(cfg, group_data.group)
             if group_data.count < min_members(len(group_data.feature_names)):
-                skipped.append(group_data.group.value)
                 for stale in paths.values():
                     stale.unlink(missing_ok=True)
                 continue
@@ -394,8 +406,7 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
             lingam_mod.write_effects_csv(model, paths["effects"])
             lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
             lingam_mod.write_discovery_json(model, paths["discovery"], cfg.n_bootstrap)
-        build_report(cfg, skipped_groups=skipped)
-        return _discovery_flags(skipped)
+        return _discovery_flags(build_report(cfg).skipped_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +442,9 @@ class RunReport:
     discovery: dict
 
 
-def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -> RunReport:
-    """Assemble the run report purely from persisted stage artifacts."""
+def build_report(cfg: PipelineConfig) -> RunReport:
+    """Assemble the run report purely from persisted stage artifacts; a
+    group without ``effects_<group>.csv`` was skipped."""
     with _stage_guard("report"):
         diag_path = cfg.path("diagnostics")
         sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
@@ -449,13 +461,11 @@ def build_report(cfg: PipelineConfig, skipped_groups: list[str] | None = None) -
         effects: dict[str, list[dict]] = {}
         max_effect: dict[str, float] = {}
         discovery: dict[str, dict] = {}
-        if skipped_groups is None:
-            skipped_groups = [
-                g.value for g in Group if not group_artifact_paths(cfg, g)["effects"].exists()
-            ]
+        skipped_groups: list[str] = []
         for group in Group:
             paths = group_artifact_paths(cfg, group)
-            if group.value in skipped_groups or not paths["effects"].exists():
+            if not paths["effects"].exists():
+                skipped_groups.append(group.value)
                 continue
             table = _read_effects_csv(paths["effects"])
             if paths["discovery"].exists():

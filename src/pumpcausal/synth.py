@@ -7,15 +7,16 @@ causal-discovery recovery, including a two-group scenario with a strong
 planted feature-to-target effect in one group and near-zero effects in the
 other.
 
-All draws come from PCG64 streams derived from the config seed (see
-``rng``), so generated datasets are bit-reproducible.
+All draws come from PCG64 streams derived from a seed (``SynthConfig.seed``,
+or a scenario's ``seed`` argument; see ``rng``), so generated datasets are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -35,6 +36,14 @@ from .features import FEATURE_NAMES, FeatureMatrix
 from .grouping import Group
 
 DEFAULT_LOG_LAMBDA0 = -4.5  # gives informative per-interval transition rates
+SCENARIO_FEATURES = (
+    "std",
+    "min",
+    "recent_change_rate",
+    "trend_slope_90d",
+    "rolling_std_30d_mean",
+)
+NULL_NOISE_SCALE = 0.1  # target noise of the two-group scenario's near-null group
 
 
 @dataclass(frozen=True)
@@ -48,17 +57,6 @@ class SynthConfig:
     interval_max: int = 173  # uniform integer intervals, median 90 days
     ar_coeff: float = 0.8
     ar_noise_sd: float = 0.5
-    planted_effects: Mapping[str, float] = field(default_factory=dict)
-    scenario_features: tuple[str, ...] = (
-        "std",
-        "min",
-        "recent_change_rate",
-        "trend_slope_90d",
-        "rolling_std_30d_mean",
-    )
-    scenario_rows: int = 2000
-    scenario_noise_scale: float = 0.5
-    null_noise_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -74,12 +72,8 @@ class SynthConfig:
             raise ConfigError("log_lambda0 must have one entry per state")
         if not 0 <= abs(self.ar_coeff) < 1:
             raise ConfigError("ar_coeff must satisfy |ar_coeff| < 1")
-        unknown = [n for n in self.scenario_features if n not in FEATURE_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown scenario features: {unknown}")
-        bad = [n for n in self.planted_effects if n not in self.scenario_features]
-        if bad:
-            raise ConfigError(f"planted effects reference absent features: {bad}")
+        if self.ar_noise_sd < 0:
+            raise ConfigError("ar_noise_sd must be >= 0")
 
     def baseline_log_hazards(self) -> np.ndarray:
         if self.log_lambda0 is not None:
@@ -93,7 +87,6 @@ class GroundTruth:
     log_lambda0: np.ndarray
     beta: np.ndarray
     sigma_u: float
-    planted_effects: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -101,7 +94,6 @@ class GroundTruth:
             "log_lambda0": [float(v) for v in self.log_lambda0],
             "beta": [float(v) for v in self.beta],
             "sigma_u": float(self.sigma_u),
-            "planted_effects": {k: float(v) for k, v in self.planted_effects.items()},
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -219,69 +211,57 @@ def generate_sem_data(
 class LingamScenario:
     features: FeatureMatrix
     target: np.ndarray
-    truth: GroundTruth
+    planted: dict[str, float]  # feature -> its direct effect on the target
 
 
 def generate_lingam_scenario(
-    config: SynthConfig,
+    seed: int,
     planted: Mapping[str, float] | None = None,
-    noise_scale: float | None = None,
+    *,
+    rows: int = 2000,
+    noise_scale: float = 0.5,
+    features: tuple[str, ...] = SCENARIO_FEATURES,
     stream_key: int = 0,
 ) -> LingamScenario:
     """Feature-matrix-shaped SEM sample with a planted feature -> target map.
 
     Features are independent uniform noise columns; the target is the
     planted linear combination plus uniform noise, keeping every error term
-    non-Gaussian.
+    non-Gaussian.  Draws come from the stream (seed, scenario-key,
+    stream_key).
     """
-    planted = dict(config.planted_effects if planted is None else planted)
-    bad = [n for n in planted if n not in config.scenario_features]
+    planted = {k: float(v) for k, v in (planted or {}).items()}
+    unknown = [n for n in features if n not in FEATURE_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown scenario features: {unknown}")
+    bad = [n for n in planted if n not in features]
     if bad:
         raise ConfigError(f"planted effects reference absent features: {bad}")
-    scale = config.scenario_noise_scale if noise_scale is None else noise_scale
-    rng = rng_mod.stream(config.seed, rng_mod.KEY_SCENARIO, stream_key)
-    n, names = config.scenario_rows, config.scenario_features
-    values = rng.uniform(-1.0, 1.0, size=(n, len(names)))
-    coef = np.array([planted.get(name, 0.0) for name in names])
-    target = values @ coef + rng.uniform(-1.0, 1.0, size=n) * scale
-    features = FeatureMatrix(
-        pump_ids=tuple(f"S{i:04d}" for i in range(n)),
-        feature_names=tuple(names),
+    rng = rng_mod.stream(seed, rng_mod.KEY_SCENARIO, stream_key)
+    values = rng.uniform(-1.0, 1.0, size=(rows, len(features)))
+    coef = np.array([planted.get(name, 0.0) for name in features])
+    target = values @ coef + rng.uniform(-1.0, 1.0, size=rows) * noise_scale
+    matrix = FeatureMatrix(
+        pump_ids=tuple(f"S{i:04d}" for i in range(rows)),
+        feature_names=tuple(features),
         values=values,
     )
-    truth = GroundTruth(
-        u_true=target,
-        log_lambda0=np.empty(0),
-        beta=np.empty(0),
-        sigma_u=0.0,
-        planted_effects={k: float(v) for k, v in planted.items()},
-    )
-    return LingamScenario(features=features, target=target, truth=truth)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoGroupScenario:
-    """Strong planted effects in the negative group, near-null positive group."""
-
-    scenarios: dict[Group, LingamScenario]
-    planted_gap_ratio: float
+    return LingamScenario(matrix, target, planted)
 
 
 def generate_two_group_scenario(
-    config: SynthConfig,
+    seed: int,
     strong_effects: Mapping[str, float] | None = None,
-) -> TwoGroupScenario:
-    strong = dict(strong_effects or {"std": 1.5})
-    negative = generate_lingam_scenario(
-        config, planted=strong, noise_scale=config.scenario_noise_scale, stream_key=0
-    )
-    positive = generate_lingam_scenario(
-        config, planted={}, noise_scale=config.null_noise_scale, stream_key=1
-    )
-    strong_max = max(abs(v) for v in strong.values())
-    null_max = 0.0
-    ratio = strong_max / null_max if null_max else math.inf
-    return TwoGroupScenario(
-        scenarios={Group.NEGATIVE: negative, Group.POSITIVE: positive},
-        planted_gap_ratio=ratio,
-    )
+    *,
+    rows: int = 2000,
+) -> dict[Group, LingamScenario]:
+    """Strong planted effects in the negative group; no planted effect and
+    low target noise in the positive group."""
+    return {
+        Group.NEGATIVE: generate_lingam_scenario(
+            seed, strong_effects or {"std": 1.5}, rows=rows, stream_key=0
+        ),
+        Group.POSITIVE: generate_lingam_scenario(
+            seed, rows=rows, noise_scale=NULL_NOISE_SCALE, stream_key=1
+        ),
+    }

@@ -119,6 +119,20 @@ def standard_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def looped(target):
+    """A plain theta (dim,) -> (logp, grad) target as the sampler's batched
+    one: each row of a (C, dim) batch in turn, stacked."""
+
+    def batched(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        results = [target(row) for row in theta]
+        return (
+            np.array([logp for logp, _ in results], float),
+            np.array([grad for _, grad in results], float),
+        )
+
+    return batched
+
+
 # FastICA that has not converged by its iteration cap amplifies rounding, so
 # the whitening and the decorrelation round exactly as the package's do
 def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from oracles import (
     finite_difference_gradient,
     ks_statistic,
     log_posterior_unconstrained,
+    looped,
     standard_normal_cdf,
 )
 import pumpcausal.rng as rng_mod
@@ -121,7 +122,7 @@ def test_criterion_2_sampler_calibration():
         return -0.5 * float(theta @ theta), -theta
 
     config = SamplerConfig(n_draws=2000, n_tune=1000, n_chains=8, seed=20, threads=1)
-    samples = sample(target, 1, config)
+    samples = sample(looped(target), 1, config)
     pooled = samples.flat()[:, 0]
     mean = float(pooled.mean())
     sd = float(pooled.std())
@@ -151,7 +152,6 @@ def _fit_synthetic(seed: int):
         layout.dim,
         SamplerConfig(seed=seed),
         init_center=layout.prior_center(),
-        batched=True,
     )
     return synthesis, layout, samples
 
@@ -276,9 +276,8 @@ def test_criterion_5_lingam_recovery():
 
 
 def _discover_two_groups(seed: int, n_bootstrap: int = 200):
-    two = generate_two_group_scenario(SynthConfig(seed=seed))
     models = {}
-    for group, scenario in two.scenarios.items():
+    for group, scenario in generate_two_group_scenario(seed).items():
         dataset = GroupDataset(
             group=group,
             features=scenario.features.values,

@@ -26,7 +26,7 @@ from pumpcausal.lingam import (
     write_effects_csv,
     write_order_json,
 )
-from pumpcausal.synth import SynthConfig, generate_lingam_scenario, generate_sem_data
+from pumpcausal.synth import generate_lingam_scenario, generate_sem_data
 
 
 def _uniform_sources(rng, n, d):
@@ -372,9 +372,7 @@ def _group_from_scenario(scenario, group=Group.NEGATIVE):
 
 class TestDiscover:
     def test_planted_effect_recovered(self):
-        scenario = generate_lingam_scenario(
-            SynthConfig(seed=5), planted={"std": 1.5}, noise_scale=0.5
-        )
+        scenario = generate_lingam_scenario(5, {"std": 1.5}, noise_scale=0.5)
         model = discover(_group_from_scenario(scenario), LingamConfig(n_bootstrap=30, seed=5))
         effects = model.effects_to_target(raw=True)
         assert effects["std"] == pytest.approx(1.5, abs=0.2)
@@ -382,15 +380,14 @@ class TestDiscover:
         assert max(others) < 0.1
 
     def test_null_scenario_all_small(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=6), planted={}, noise_scale=1.0)
+        scenario = generate_lingam_scenario(6, {}, noise_scale=1.0)
         model = discover(_group_from_scenario(scenario), LingamConfig(n_bootstrap=20, seed=6))
         assert max(abs(v) for v in model.effects_to_target(raw=True).values()) < 0.05
 
     def test_single_feature_direction(self):
         hits = 0
         for seed in range(20):
-            config = SynthConfig(seed=seed, scenario_features=("std",), scenario_rows=2000)
-            scenario = generate_lingam_scenario(config, planted={"std": 1.0}, noise_scale=0.5)
+            scenario = generate_lingam_scenario(seed, {"std": 1.0}, features=("std",))
             model = discover(
                 _group_from_scenario(scenario), LingamConfig(n_bootstrap=1, seed=seed)
             )
@@ -399,7 +396,7 @@ class TestDiscover:
         assert hits >= 18
 
     def test_small_group_gated(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=7, scenario_rows=2000))
+        scenario = generate_lingam_scenario(7)
         group = _group_from_scenario(scenario)
         small = GroupDataset(
             group=group.group,
@@ -412,7 +409,7 @@ class TestDiscover:
             discover(small, LingamConfig(n_bootstrap=5))
 
     def test_constant_feature_dropped(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=8, scenario_rows=500))
+        scenario = generate_lingam_scenario(8, rows=500)
         group = _group_from_scenario(scenario)
         doctored = GroupDataset(
             group=group.group,
@@ -427,7 +424,7 @@ class TestDiscover:
         assert "flatline" not in model.variable_names
 
     def test_constant_target_errors(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=9, scenario_rows=200))
+        scenario = generate_lingam_scenario(9, rows=200)
         group = _group_from_scenario(scenario)
         flat = GroupDataset(
             group=group.group,
@@ -442,7 +439,7 @@ class TestDiscover:
                 discover(flat, LingamConfig(n_bootstrap=5))
 
     def test_target_combination_of_features_errors(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=9, scenario_rows=200))
+        scenario = generate_lingam_scenario(9, rows=200)
         group = _group_from_scenario(scenario)
         derived = GroupDataset(
             group=group.group,
@@ -459,9 +456,7 @@ class TestDiscover:
 
 @pytest.fixture(scope="module")
 def model() -> CausalModel:
-    scenario = generate_lingam_scenario(
-        SynthConfig(seed=10, scenario_rows=800), planted={"std": 1.0}, noise_scale=0.5
-    )
+    scenario = generate_lingam_scenario(10, {"std": 1.0}, rows=800)
     return discover(_group_from_scenario(scenario), LingamConfig(n_bootstrap=10, seed=10))
 
 

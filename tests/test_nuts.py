@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ks_statistic, nuts_chain_serial, standard_normal_cdf
+from oracles import ks_statistic, looped, nuts_chain_serial, standard_normal_cdf
 from pumpcausal.diagnostics import ess, extract_random_effects, hdi, split_rhat
 from pumpcausal.errors import SamplerError
 from pumpcausal.data import Dataset
@@ -187,7 +187,7 @@ class TestExtractRandomEffects:
 class TestSample:
     def test_standard_normal_moments(self):
         config = SamplerConfig(n_draws=1000, n_tune=500, n_chains=4, seed=11, threads=1)
-        samples = sample(normal_target, 1, config)
+        samples = sample(looped(normal_target), 1, config)
         pooled = samples.flat()[:, 0]
         assert abs(pooled.mean()) < 0.1
         assert 0.9 < pooled.std() < 1.1
@@ -196,7 +196,7 @@ class TestSample:
 
     def test_acceptance_near_target(self):
         config = SamplerConfig(n_draws=500, n_tune=500, n_chains=2, seed=3, threads=1)
-        samples = sample(normal_target, 1, config)
+        samples = sample(looped(normal_target), 1, config)
         assert abs(samples.accept_means.mean() - 0.95) < 0.05
 
     def test_correlated_gaussian_covariance(self):
@@ -207,14 +207,14 @@ class TestSample:
             return -0.5 * float(theta @ prec @ theta), -(prec @ theta)
 
         config = SamplerConfig(n_draws=2000, n_tune=1000, n_chains=8, seed=5, threads=1)
-        samples = sample(target, 2, config)
+        samples = sample(looped(target), 2, config)
         empirical = np.cov(samples.flat().T)
         assert np.abs(empirical - cov).max() < 0.1
 
     def test_seed_determinism(self):
         config = SamplerConfig(n_draws=50, n_tune=50, n_chains=2, seed=9, threads=1)
-        a = sample(normal_target, 1, config)
-        b = sample(normal_target, 1, config)
+        a = sample(looped(normal_target), 1, config)
+        b = sample(looped(normal_target), 1, config)
         np.testing.assert_array_equal(a.draws, b.draws)
         assert np.array_equal(a.divergences, b.divergences)
 
@@ -222,8 +222,8 @@ class TestSample:
         serial = SamplerConfig(n_draws=100, n_tune=100, n_chains=4, seed=2, threads=1)
         forked = SamplerConfig(n_draws=100, n_tune=100, n_chains=4, seed=2, threads=2)
         np.testing.assert_array_equal(
-            sample(normal_target, 1, serial).draws,
-            sample(normal_target, 1, forked).draws,
+            sample(looped(normal_target), 1, serial).draws,
+            sample(looped(normal_target), 1, forked).draws,
         )
 
     def test_parallel_groups_match_one_group(self):
@@ -232,8 +232,8 @@ class TestSample:
         serial = SamplerConfig(n_draws=20, n_tune=30, n_chains=3, seed=6, threads=1)
         forked = SamplerConfig(n_draws=20, n_tune=30, n_chains=3, seed=6, threads=2)
         center = layout.prior_center()
-        a = sample(target, layout.dim, serial, init_center=center, batched=True)
-        b = sample(target, layout.dim, forked, init_center=center, batched=True)
+        a = sample(target, layout.dim, serial, init_center=center)
+        b = sample(target, layout.dim, forked, init_center=center)
         for name in _PER_CHAIN:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -243,7 +243,7 @@ class TestSample:
 
         config = SamplerConfig(n_draws=10, n_tune=10, n_chains=1, seed=0, threads=1)
         with pytest.raises(SamplerError, match="initialization"):
-            sample(bad_target, 2, config)
+            sample(looped(bad_target), 2, config)
 
     def test_dimension_mismatch_raises(self):
         def wrong_dim(theta):
@@ -251,7 +251,7 @@ class TestSample:
 
         config = SamplerConfig(n_draws=10, n_tune=10, n_chains=1, seed=0, threads=1)
         with pytest.raises(SamplerError, match="length"):
-            sample(wrong_dim, 2, config)
+            sample(looped(wrong_dim), 2, config)
 
     def test_config_validation(self):
         with pytest.raises(SamplerError):
@@ -263,7 +263,7 @@ class TestSample:
 class TestExports:
     def test_draws_csv_and_diagnostics_json(self, tmp_path):
         config = SamplerConfig(n_draws=20, n_tune=20, n_chains=2, seed=1, threads=1)
-        samples = sample(normal_target, 1, config)
+        samples = sample(looped(normal_target), 1, config)
         draws_path = tmp_path / "draws.csv"
         write_draws_csv(samples, ["x"], draws_path)
         lines = draws_path.read_text().splitlines()
@@ -281,7 +281,7 @@ class TestExports:
     @pytest.mark.parametrize("n_draws, not_computed", [(5, ["ESS"]), (3, ["R-hat", "ESS"])])
     def test_few_draws_write_null_and_flag(self, tmp_path, n_draws, not_computed):
         config = SamplerConfig(n_draws=n_draws, n_tune=20, n_chains=2, seed=1, threads=1)
-        samples = sample(normal_target, 1, config)
+        samples = sample(looped(normal_target), 1, config)
         path = tmp_path / "diag.json"
         write_diagnostics_json(samples, ["x"], path)
 
@@ -308,7 +308,7 @@ class TestExports:
         config = SamplerConfig(
             n_draws=30, n_tune=30, n_chains=2, max_tree_depth=1, seed=4, threads=1
         )
-        samples = sample(counted_target, 1, config)
+        samples = sample(looped(counted_target), 1, config)
         path = tmp_path / "diag.json"
         write_diagnostics_json(samples, ["x"], path, data={"n_transitions": 7})
         payload = json.loads(path.read_text())
@@ -342,7 +342,7 @@ class TestLockStep:
         else:
             target, dim = funnel_target, 5
             config = SamplerConfig(n_draws=100, n_tune=200, n_chains=4, seed=5, threads=1)
-        samples = sample(target, dim, config, init_center=center)
+        samples = sample(looped(target), dim, config, init_center=center)
         serial = [
             nuts_chain_serial(target, dim, config, c, center) for c in range(config.n_chains)
         ]
@@ -366,12 +366,12 @@ class TestLockStep:
         alone = sample(
             target, layout.dim,
             SamplerConfig(n_draws=30, n_tune=120, n_chains=1, seed=8, threads=1),
-            init_center=center, batched=True,
+            init_center=center,
         )
         batch = sample(
             target, layout.dim,
             SamplerConfig(n_draws=30, n_tune=120, n_chains=8, seed=8, threads=1),
-            init_center=center, batched=True,
+            init_center=center,
         )
         for name in _PER_CHAIN:
             np.testing.assert_array_equal(getattr(alone, name)[0], getattr(batch, name)[0])
@@ -380,10 +380,10 @@ class TestLockStep:
         target, layout = _hazard_problem(seed=2)
         config = SamplerConfig(n_draws=30, n_tune=120, n_chains=4, seed=9, threads=1)
         center = layout.prior_center()
-        batched = sample(target, layout.dim, config, init_center=center, batched=True)
-        looped = sample(_one_row(target), layout.dim, config, init_center=center)
+        batched = sample(target, layout.dim, config, init_center=center)
+        row_by_row = sample(looped(_one_row(target)), layout.dim, config, init_center=center)
         for name in (*_PER_CHAIN, "rhat", "ess_bulk"):
-            np.testing.assert_array_equal(getattr(batched, name), getattr(looped, name))
+            np.testing.assert_array_equal(getattr(batched, name), getattr(row_by_row, name))
 
     def test_grad_evals_count_rows_not_calls(self, tmp_path):
         target, layout = _hazard_problem(seed=3)
@@ -396,7 +396,7 @@ class TestLockStep:
 
         config = SamplerConfig(n_draws=20, n_tune=40, n_chains=4, seed=10, threads=1)
         samples = sample(
-            counted, layout.dim, config, init_center=layout.prior_center(), batched=True
+            counted, layout.dim, config, init_center=layout.prior_center()
         )
         path = tmp_path / "diag.json"
         write_diagnostics_json(samples, layout.names(), path)
@@ -411,4 +411,4 @@ class TestLockStep:
 
         config = SamplerConfig(n_draws=10, n_tune=10, n_chains=2, seed=0, threads=1)
         with pytest.raises(SamplerError, match="length"):
-            sample(wrong_rows, 2, config, batched=True)
+            sample(wrong_rows, 2, config)

@@ -9,10 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from pumpcausal.cli import main
+from pumpcausal.diagnostics import ess, split_rhat
 from pumpcausal.errors import ConfigError
 from pumpcausal.lingam import LingamConfig
-from pumpcausal.nuts import SamplerConfig
-from pumpcausal.pipeline import _SECTION_KEYS, PipelineConfig, load_config
+from pumpcausal.nuts import PosteriorSamples, SamplerConfig, write_diagnostics_json
+from pumpcausal.pipeline import _SECTION_KEYS, PipelineConfig, build_report, load_config
 
 SMALL_CONFIG = """
 [pipeline]
@@ -99,7 +100,6 @@ class TestConfigLoading:
                 "interval_max": ("100", "interval_max", 100),
                 "ar_coeff": ("0.5", "ar_coeff", 0.5),
                 "ar_noise_sd": ("0.25", "ar_noise_sd", 0.25),
-                "scenario_rows": ("300", "scenario_rows", 300),
             },
             "sampler": {
                 "n_draws": ("7", "n_draws", 7),
@@ -148,6 +148,27 @@ class TestConfigLoading:
         bad.write_text("[sampler]\nnot_a_key = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(bad)
+        # the LiNGAM test scenarios take their size as an argument, not a key
+        bad.write_text("[synth]\nscenario_rows = 2000\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'scenario_rows' in section \[synth\]"):
+            load_config(bad)
+
+    def test_readme_example_matches_the_schema(self, tmp_path):
+        # the README's config example loads, and names every key (set or
+        # commented out) that the code accepts, and no other
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example, encoding="utf-8")
+        load_config(path)
+        keys: dict[str, set] = {}
+        for line in example.splitlines():
+            line = line.strip().lstrip("#").strip()
+            if line.startswith("["):
+                section = keys.setdefault(line.strip("[]"), set())
+            elif "=" in line:
+                section.add(line.split("=", 1)[0].strip())
+        assert keys == _SECTION_KEYS
 
     def test_bad_value(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -157,6 +178,13 @@ class TestConfigLoading:
         bad.write_text("[features]\nwindow_end = soon\n")
         with pytest.raises(ConfigError, match=r"bad value for \[features\] window_end"):
             load_config(bad)
+        # booleans take configparser's words only; a misspelling is no False
+        bad.write_text("[hazard]\nuse_covariates = flase\n")
+        with pytest.raises(ConfigError, match=r"bad value for \[hazard\] use_covariates: 'flase'"):
+            load_config(bad)
+        for word, value in {"Yes": True, "on": True, "OFF": False, "0": False}.items():
+            bad.write_text(f"[hazard]\nuse_covariates = {word}\n")
+            assert load_config(bad).use_covariates is value, word
 
     def test_short_feature_window_rejected(self, tmp_path):
         # rejected before the fit runs, not in the features stage after it
@@ -186,6 +214,26 @@ class TestConfigLoading:
                 inspections=tmp_path / "missing.csv",
                 timeseries=tmp_path / "missing2.csv",
             )
+
+
+class TestRejectedBeforeAnyStage:
+    @pytest.mark.parametrize(
+        "line, setting, message",
+        [
+            ("n_chains = 2", "n_chains = 0", "n_chains must be >= 1"),
+            ("n_bootstrap = 15", "n_bootstrap = 0", "invalid ICA or bootstrap settings"),
+            ("n_pumps = 25", "n_pumps = 25\nar_noise_sd = -0.5", "ar_noise_sd must be >= 0"),
+            ("seed = 11", "seed = 11\nthreads = -2", "threads must be >= 0, got -2"),
+        ],
+    )
+    def test_exit_1_and_no_artifact(self, tmp_path, line, setting, message):
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(SMALL_CONFIG.format(out=out).replace(line, setting))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "pipeline"])
+        assert result.exit_code == 1, result.output
+        assert f"validation error: {message}" in result.output
+        assert not out.exists()
 
 
 class TestSynthCommand:
@@ -330,6 +378,41 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["--config", str(config_path), "report"])
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == before
+
+
+class TestNonFiniteDiagnostics:
+    def test_infinite_rhat_is_null_and_flagged(self, tmp_path):
+        # two chains, each constant, at different values: split R-hat is inf
+        draws = np.zeros((2, 10, 1))
+        draws[1] = 1.0
+        samples = PosteriorSamples(
+            draws=draws,
+            divergences=np.zeros(2, int),
+            step_sizes=np.ones(2),
+            accept_means=np.ones(2),
+            grad_evals=np.ones(2, int),
+            max_depth_hits=np.zeros(2, int),
+            rhat=np.array([split_rhat(draws[:, :, 0])]),
+            ess_bulk=np.array([ess(draws[:, :, 0])]),
+        )
+        assert samples.rhat[0] == np.inf
+        cfg = PipelineConfig(out_dir=tmp_path)
+        write_diagnostics_json(samples, ["x"], cfg.path("diagnostics"))
+        cfg.path("groups").write_text(
+            "pump_id,u_mean,group\nP000,0.5,positive\nP001,-0.5,negative\n"
+        )
+        build_report(cfg)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        diagnostics = json.loads(cfg.path("diagnostics").read_text(), parse_constant=reject)
+        report = json.loads(cfg.path("report").read_text(), parse_constant=reject)
+        assert diagnostics["parameters"]["x"]["rhat"] is None
+        assert report["sampler"] == diagnostics["summary"]
+        assert report["sampler"]["max_rhat"] is None
+        assert "max split R-hat inf >= 1.01" in report["sampler"]["flags"]
+        assert report["skipped_groups"] == ["negative", "positive"]
 
 
 class TestMalformedArtifacts:

@@ -8,6 +8,7 @@ import pytest
 from oracles import ModelParams, log_likelihood
 from pumpcausal.data import write_inspections_csv, write_timeseries_csv
 from pumpcausal.errors import ConfigError
+from pumpcausal.grouping import Group
 from pumpcausal.synth import (
     SynthConfig,
     generate_hazard_data,
@@ -26,9 +27,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(study_days=100, interval_max=150)
 
-    def test_unknown_planted_feature(self):
-        with pytest.raises(ConfigError):
-            SynthConfig(planted_effects={"not_a_feature": 1.0})
+    def test_negative_noise_sd_rejected(self):
+        with pytest.raises(ConfigError, match="ar_noise_sd"):
+            SynthConfig(ar_noise_sd=-0.5)
 
 
 class TestHazardData:
@@ -134,20 +135,26 @@ class TestSemData:
 
 class TestScenarios:
     def test_null_scenario_independent(self):
-        scenario = generate_lingam_scenario(SynthConfig(seed=8), planted={}, noise_scale=1.0)
+        scenario = generate_lingam_scenario(8, {}, noise_scale=1.0)
         corr = np.corrcoef(scenario.features.values.T, scenario.target)
         assert np.max(np.abs(corr[:-1, -1])) < 0.08
 
     def test_planted_effect_ols_recovery(self):
-        scenario = generate_lingam_scenario(
-            SynthConfig(seed=9), planted={"std": 1.5}, noise_scale=0.5
-        )
+        scenario = generate_lingam_scenario(9, {"std": 1.5}, noise_scale=0.5)
         f = scenario.features.column("std")
         coef = float(f @ scenario.target) / float(f @ f)
         assert coef == pytest.approx(1.5, abs=0.1)
 
     def test_two_group_contrast_by_construction(self):
-        two = generate_two_group_scenario(SynthConfig(seed=10))
-        assert two.planted_gap_ratio >= 100.0
-        neg = two.scenarios[list(two.scenarios)[0]]
-        assert neg.truth.planted_effects  # strong side carries the planted map
+        two = generate_two_group_scenario(10)
+        assert list(two) == [Group.NEGATIVE, Group.POSITIVE]
+        assert two[Group.NEGATIVE].planted == {"std": 1.5}  # the strong side
+        assert two[Group.POSITIVE].planted == {}
+
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ConfigError, match="absent features"):
+            generate_lingam_scenario(0, {"not_a_feature": 1.0})
+        with pytest.raises(ConfigError, match="absent features"):
+            generate_lingam_scenario(0, {"min": 1.0}, features=("std",))
+        with pytest.raises(ConfigError, match="unknown scenario features"):
+            generate_lingam_scenario(0, features=("std", "not_a_feature"))
