@@ -45,7 +45,6 @@ _INIT_BUFFER = 75
 _TERM_BUFFER = 50
 _BASE_WINDOW = 25
 
-# theta (C, dim) -> (logp (C,), grad (C, dim)); row c depends on row c only
 TargetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 

@@ -43,6 +43,7 @@ SCENARIO_FEATURES = (
     "trend_slope_90d",
     "rolling_std_30d_mean",
 )
+STRONG_EFFECTS = {"std": 1.5}  # planted in the two-group scenario's negative group
 NULL_NOISE_SCALE = 0.1  # target noise of the two-group scenario's near-null group
 
 
@@ -249,19 +250,12 @@ def generate_lingam_scenario(
     return LingamScenario(matrix, target, planted)
 
 
-def generate_two_group_scenario(
-    seed: int,
-    strong_effects: Mapping[str, float] | None = None,
-    *,
-    rows: int = 2000,
-) -> dict[Group, LingamScenario]:
+def generate_two_group_scenario(seed: int) -> dict[Group, LingamScenario]:
     """Strong planted effects in the negative group; no planted effect and
     low target noise in the positive group."""
     return {
-        Group.NEGATIVE: generate_lingam_scenario(
-            seed, strong_effects or {"std": 1.5}, rows=rows, stream_key=0
-        ),
+        Group.NEGATIVE: generate_lingam_scenario(seed, STRONG_EFFECTS, stream_key=0),
         Group.POSITIVE: generate_lingam_scenario(
-            seed, rows=rows, noise_scale=NULL_NOISE_SCALE, stream_key=1
+            seed, noise_scale=NULL_NOISE_SCALE, stream_key=1
         ),
     }
