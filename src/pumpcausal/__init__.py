@@ -18,7 +18,7 @@ from .features import (
     window_features,
 )
 from .grouping import Group, GroupDataset, group_datasets, sign_groups
-from .hazard import ParamLayout, PriorSpec, grad_log_posterior, make_logp_and_grad
+from .hazard import ParamLayout, make_logp_and_grad
 from .lingam import (
     CausalModel,
     IcaResult,
@@ -50,7 +50,7 @@ __all__ = [
     "DEFAULT_ACTIVE_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
     "extract_features", "window_features",
     "Group", "GroupDataset", "group_datasets", "sign_groups",
-    "ParamLayout", "PriorSpec", "grad_log_posterior", "make_logp_and_grad",
+    "ParamLayout", "make_logp_and_grad",
     "CausalModel", "IcaResult", "LingamConfig", "StandardizedData",
     "bootstrap_cis", "causal_order", "discover", "estimate_effects",
     "fast_ica", "standardize",

@@ -38,7 +38,7 @@ EXIT_WARNINGS = 3
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Output directory override.")
 @click.option("--threads", type=int, default=None,
-              help="Within-stage parallelism (chains, bootstrap).")
+              help="Within-stage parallelism (chains, bootstrap); 0 = all cores.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, threads):
     """Deterioration analytics: hazard fit, features, groups, causal discovery."""

@@ -9,7 +9,7 @@ the interval, with the interval-mean covariate vector attached.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -168,14 +168,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.y)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import SamplerError
 
+HDI_PROB = 0.95
+
 
 def split_rhat(draws: np.ndarray) -> float:
     """Split R-hat over (n_chains, n_draws) draws of one parameter.
@@ -50,8 +52,9 @@ def ess(draws: np.ndarray) -> float:
     """Effective sample size over (n_chains, n_draws) draws of one parameter.
 
     Combined-chain autocorrelations are truncated at the first non-positive
-    Geyer pair sum and capped monotone non-increasing.  A constant parameter
-    reports the total draw count.
+    Geyer pair sum and capped monotone non-increasing.  A parameter whose
+    draws are all equal reports the total draw count; chains that are each
+    constant but sit at different values get an ESS near 1.
     """
     draws = np.asarray(draws, float)
     if draws.ndim != 2:
@@ -62,11 +65,11 @@ def ess(draws: np.ndarray) -> float:
     total = m * n
     acov = _autocovariance(draws)
     within = acov[:, 0].mean() * n / (n - 1)
-    if within == 0.0:
-        return float(total)
     var_plus = within * (n - 1) / n
     if m > 1:
         var_plus += draws.mean(axis=1).var(ddof=1)
+    if var_plus == 0.0:
+        return float(total)
     rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
 
     # Geyer pair sums: keep while positive, then enforce monotone decrease
@@ -83,9 +86,9 @@ def ess(draws: np.ndarray) -> float:
     return float(total / tau)
 
 
-def hdi(draws: np.ndarray, prob: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest interval containing ``prob`` of the draws, per column of an
-    (n, P) matrix (a window scan over each sorted column).
+def hdi(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest interval containing ``HDI_PROB`` of the draws, per column of
+    an (n, P) matrix (a window scan over each sorted column).
 
     Returns the (P,) columns of lower and upper ends; an (n,) vector of one
     parameter's draws gives two scalars.
@@ -94,7 +97,7 @@ def hdi(draws: np.ndarray, prob: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
     n = len(draws)
     if n == 0:
         raise SamplerError("hdi of empty draws")
-    window = max(1, int(np.ceil(prob * n)))
+    window = max(1, int(np.ceil(HDI_PROB * n)))
     if window >= n:
         return draws[0], draws[-1]
     widths = draws[window - 1 :] - draws[: n - window + 1]

@@ -120,9 +120,6 @@ class FeatureMatrix:
     def n_pumps(self) -> int:
         return len(self.pump_ids)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
 
 def extract_features(
     series: Iterable[CovariateSeries],

@@ -24,19 +24,12 @@ MAX_LOG_EXPOSURE = 700.0  # keeps exp() finite; such points reject anyway
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Weakly informative priors for all parameter blocks."""
-
-    mu_log_lambda0: float = -5.0
-    sd_log_lambda0: float = 2.0
-    sd_beta: float = 1.0
-    sigma_u_scale: float = 1.0
-
-    def __post_init__(self):
-        if min(self.sd_log_lambda0, self.sd_beta, self.sigma_u_scale) <= 0:
-            raise ModelError("prior scales must be positive")
+# weakly informative priors: log_lambda0 ~ N(MU_LOG_LAMBDA0, SD_LOG_LAMBDA0),
+# beta ~ N(0, SD_BETA), u_raw ~ N(0, 1), sigma_u ~ HalfNormal(SIGMA_U_SCALE)
+MU_LOG_LAMBDA0 = -5.0
+SD_LOG_LAMBDA0 = 2.0
+SD_BETA = 1.0
+SIGMA_U_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,29 +77,15 @@ class ParamLayout:
             + ["zeta"]
         )
 
-    def prior_center(self, priors: PriorSpec = PriorSpec()) -> np.ndarray:
+    def prior_center(self) -> np.ndarray:
         """Prior location in unconstrained space, used to center chain inits."""
         center = np.zeros(self.dim)
-        center[self.log_lambda0_slice] = priors.mu_log_lambda0
+        center[self.log_lambda0_slice] = MU_LOG_LAMBDA0
         return center
 
 
-def grad_log_posterior(
-    theta: np.ndarray,
-    data: Dataset,
-    layout: ParamLayout | None = None,
-    priors: PriorSpec = PriorSpec(),
-) -> np.ndarray:
-    """Analytic gradient of the unconstrained log-posterior at one point."""
-    layout = layout or ParamLayout.for_dataset(data)
-    _, grad = make_logp_and_grad(data, layout, priors)(np.asarray(theta, float)[None])
-    return grad[0]
-
-
 def make_logp_and_grad(
-    data: Dataset,
-    layout: ParamLayout | None = None,
-    priors: PriorSpec = PriorSpec(),
+    data: Dataset, layout: ParamLayout | None = None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Build the batched sampler target: theta (C, dim) -> (logp (C,), grad (C, dim)).
 
@@ -130,21 +109,21 @@ def make_logp_and_grad(
     k, pump = data.k[order], data.pump[order]  # log_lambda0 is columns 0..K-1
     log_dt = np.log(data.dt[order])
     x_t = np.ascontiguousarray(data.x[order].T)  # (p, n)
-    center = layout.prior_center(priors)
+    center = layout.prior_center()
     # prior variance per column; the zeta column's own prior is added apart
     prior_var = np.concatenate([
-        np.full(n_states, priors.sd_log_lambda0**2),
-        np.full(n_cov, priors.sd_beta**2),
+        np.full(n_states, SD_LOG_LAMBDA0**2),
+        np.full(n_cov, SD_BETA**2),
         np.ones(n_pumps),
         [np.inf],
     ])
-    scale_u2 = priors.sigma_u_scale**2
+    scale_u2 = SIGMA_U_SCALE**2
     const = (
-        -n_states * (0.5 * _LOG_2PI + math.log(priors.sd_log_lambda0))
-        - n_cov * (0.5 * _LOG_2PI + math.log(priors.sd_beta))
+        -n_states * (0.5 * _LOG_2PI + math.log(SD_LOG_LAMBDA0))
+        - n_cov * (0.5 * _LOG_2PI + math.log(SD_BETA))
         - 0.5 * n_pumps * _LOG_2PI
         + 0.5 * math.log(2.0 / math.pi)
-        - math.log(priors.sigma_u_scale)
+        - math.log(SIGMA_U_SCALE)
     )
     bins: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -46,7 +46,7 @@ class LingamConfig:
     ica_max_iter: int = 200
     n_bootstrap: int = 1000
     seed: int = 0
-    threads: int | None = None  # None = available hardware parallelism
+    threads: int = 0  # 0 = all available cores
 
     def __post_init__(self):
         if self.ica_tol <= 0 or self.ica_max_iter < 1 or self.n_bootstrap < 1:
@@ -62,14 +62,6 @@ class StandardizedData:
     sd: np.ndarray
     names: tuple[str, ...]
     dropped: dict[str, str]  # dropped column name -> reason
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.x.shape[1]
 
 
 def _dependent_columns(z: np.ndarray) -> np.ndarray:
@@ -518,24 +510,6 @@ class CausalModel:
     n_unconverged_resamples: int
     dropped_columns: dict[str, str]  # name -> reason, as StandardizedData.dropped
 
-    @property
-    def target_index(self) -> int:
-        return self.variable_names.index(TARGET_NAME)
-
-    def _scale(self, i: int, j: int) -> float:
-        return float(self.column_sds[j] / self.column_sds[i])
-
-    def effects_to_target(self, raw: bool = True) -> dict[str, float]:
-        """Direct effect of each feature on the target, by feature name."""
-        t = self.target_index
-        out = {}
-        for i, name in enumerate(self.variable_names):
-            if i == t:
-                continue
-            effect = self.adjacency[i, t]
-            out[name] = float(effect * self._scale(i, t)) if raw else float(effect)
-        return out
-
     def edge_rows(self) -> list[dict]:
         """All (d+1)^2 ordered pairs with raw-unit effect and CIs."""
         rows = []
@@ -545,7 +519,9 @@ class CausalModel:
                     {
                         "from": from_name,
                         "to": to_name,
-                        "effect": float(self.adjacency[i, j] * self._scale(i, j)),
+                        "effect": float(
+                            self.adjacency[i, j] * (self.column_sds[j] / self.column_sds[i])
+                        ),
                         "ci_low": float(self.ci_low_raw[i, j]),
                         "ci_high": float(self.ci_high_raw[i, j]),
                         "sign_stability": float(self.sign_stability[i, j]),

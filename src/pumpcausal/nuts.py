@@ -32,6 +32,7 @@ from .errors import SamplerError
 from .tables import write_table
 
 ENERGY_ERROR_THRESHOLD = 1000.0  # divergence cutoff on the Hamiltonian error
+ESS_PER_CHAIN = 400.0  # diagnostic_flags flags a min ESS below this per chain
 _INIT_RETRIES = 100
 _LOG_HALF = math.log(0.5)
 
@@ -56,7 +57,7 @@ class SamplerConfig:
     target_accept: float = 0.95
     max_tree_depth: int = 10
     seed: int = 0
-    threads: int | None = None  # None = available hardware parallelism
+    threads: int = 0  # 0 = all available cores
 
     def __post_init__(self):
         if self.n_draws < 1 or self.n_tune < 1:
@@ -530,7 +531,7 @@ def _json_number(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def diagnostic_flags(samples: PosteriorSamples, ess_per_chain: float = 400.0) -> list[str]:
+def diagnostic_flags(samples: PosteriorSamples) -> list[str]:
     """Soft convergence flags: reported, never a hard failure."""
     flags = []
     if samples.dim:
@@ -540,12 +541,12 @@ def diagnostic_flags(samples: PosteriorSamples, ess_per_chain: float = 400.0) ->
         elif max_rhat >= 1.01:
             flags.append(f"max split R-hat {max_rhat:.4f} >= 1.01")
         min_ess = _extreme(samples.ess_bulk, np.nanmin)
-        threshold = ess_per_chain * samples.n_chains
+        threshold = ESS_PER_CHAIN * samples.n_chains
         if min_ess is None:
             flags.append("ESS not computed (fewer than 8 draws per chain)")
         elif min_ess < threshold:
             flags.append(
-                f"min ESS {min_ess:.0f} below {ess_per_chain:.0f} per chain "
+                f"min ESS {min_ess:.0f} below {ESS_PER_CHAIN:.0f} per chain "
                 f"({threshold:.0f} total)"
             )
     total_div = int(samples.divergences.sum())

@@ -87,7 +87,7 @@ class PipelineConfig:
 
     out_dir: Path = Path("out")
     seed: int = 0
-    threads: int | None = None
+    threads: int = 0  # 0 = all available cores
     source: str = "synth"  # synth | files
     inspections: Path | None = None
     timeseries: Path | None = None
@@ -120,7 +120,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown active features: {unknown}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.threads is not None and self.threads < 0:
+        if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
         if self.feature_window < features_mod.MIN_WINDOW:
             raise ConfigError(
@@ -230,8 +230,6 @@ def load_config(
     }
     settings = fields[PipelineConfig]
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    if settings.get("threads") == 0:
-        settings["threads"] = None
     synth = SynthConfig(**fields[SynthConfig], seed=settings.get("seed", PipelineConfig.seed))
     return PipelineConfig(**settings, synth=synth)
 
@@ -509,7 +507,7 @@ def _sha256_file(path: Path) -> str:
 def _repr_without_threads(config) -> str:
     """The config's repr with ``threads`` at its default, which no output
     depends on."""
-    return repr(dataclasses.replace(config, threads=None))
+    return repr(dataclasses.replace(config, threads=0))
 
 
 def _stage_signature(cfg: PipelineConfig, stage: str) -> str:

@@ -46,12 +46,12 @@ def _call_replica(index: int):
     return _REPLICA_FN(index)
 
 
-def worker_count(threads: int | None, n: int) -> int:
-    """Workers for n replicas: ``threads`` (None = all cores), between 1 and n."""
-    return max(1, min(threads if threads is not None else (os.cpu_count() or 1), n))
+def worker_count(threads: int, n: int) -> int:
+    """Workers for n replicas: ``threads`` (0 = all cores), between 1 and n."""
+    return max(1, min(threads or os.cpu_count() or 1, n))
 
 
-def map_replicas(fn: Callable[[int], object], n: int, threads: int | None) -> list:
+def map_replicas(fn: Callable[[int], object], n: int, threads: int) -> list:
     """Return ``[fn(0), ..., fn(n - 1)]``.
 
     Runs in a fork pool of ``worker_count(threads, n)`` workers when more

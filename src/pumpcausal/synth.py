@@ -45,6 +45,7 @@ SCENARIO_FEATURES = (
 )
 STRONG_EFFECTS = {"std": 1.5}  # planted in the two-group scenario's negative group
 NULL_NOISE_SCALE = 0.1  # target noise of the two-group scenario's near-null group
+SEM_WEIGHT_LOW, SEM_WEIGHT_HIGH = 0.5, 1.5  # edge magnitudes of generate_sem_data
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,6 @@ class SynthConfig:
         if self.ar_noise_sd < 0:
             raise ConfigError("ar_noise_sd must be >= 0")
 
-    def baseline_log_hazards(self) -> np.ndarray:
-        if self.log_lambda0 is not None:
-            return np.asarray(self.log_lambda0, dtype=float)
-        return np.full(N_STATES, DEFAULT_LOG_LAMBDA0)
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
@@ -89,17 +85,14 @@ class GroundTruth:
     beta: np.ndarray
     sigma_u: float
 
-    def to_json(self) -> str:
+    def write(self, path: str | Path) -> None:
         payload = {
             "u_true": [float(v) for v in self.u_true],
             "log_lambda0": [float(v) for v in self.log_lambda0],
             "beta": [float(v) for v in self.beta],
             "sigma_u": float(self.sigma_u),
         }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +127,10 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
     rng = rng_mod.stream(config.seed, rng_mod.KEY_SYNTH)
     n_series = max(len(config.beta), 1)
     beta = np.asarray(config.beta, dtype=float)
-    log_lambda0 = config.baseline_log_hazards()
+    if config.log_lambda0 is not None:
+        log_lambda0 = np.asarray(config.log_lambda0, dtype=float)
+    else:
+        log_lambda0 = np.full(N_STATES, DEFAULT_LOG_LAMBDA0)
     u_true = rng.normal(0.0, config.sigma_u, size=config.n_pumps) if config.sigma_u else np.zeros(config.n_pumps)
 
     rows: list[tuple[int, int, int]] = []  # (pump, day, state)
@@ -186,24 +182,18 @@ class SemSample:
     effects: np.ndarray
 
 
-def generate_sem_data(
-    n_vars: int,
-    n_rows: int,
-    seed: int,
-    weight_low: float = 0.5,
-    weight_high: float = 1.5,
-    noise_scale: float = 1.0,
-) -> SemSample:
-    """Random dense acyclic SEM with uniform noise and signed weights."""
+def generate_sem_data(n_vars: int, n_rows: int, seed: int) -> SemSample:
+    """Random dense acyclic SEM with U(-1, 1) noise and signed weights whose
+    magnitudes are U(SEM_WEIGHT_LOW, SEM_WEIGHT_HIGH)."""
     rng = rng_mod.stream(seed, rng_mod.KEY_SCENARIO)
     effects = np.zeros((n_vars, n_vars))
     for j in range(1, n_vars):
-        magnitudes = rng.uniform(weight_low, weight_high, size=j)
+        magnitudes = rng.uniform(SEM_WEIGHT_LOW, SEM_WEIGHT_HIGH, size=j)
         signs = np.where(rng.random(j) < 0.5, -1.0, 1.0)
         effects[:j, j] = magnitudes * signs
     x = np.empty((n_rows, n_vars))
     for j in range(n_vars):
-        noise = rng.uniform(-noise_scale, noise_scale, size=n_rows)
+        noise = rng.uniform(-1.0, 1.0, size=n_rows)
         x[:, j] = x[:, :j] @ effects[:j, j] + noise
     return SemSample(x=x, effects=effects)
 

@@ -367,15 +367,14 @@ def log_likelihood(params: ModelParams, data) -> float:
     return total
 
 
-def log_prior(params: ModelParams, priors=None) -> float:
-    """Sum of prior log-densities, normalizing constants included."""
-    from pumpcausal.hazard import PriorSpec
-
-    priors = priors or PriorSpec()
-    sd0, sd_beta, s = priors.sd_log_lambda0, priors.sd_beta, priors.sigma_u_scale
+def log_prior(params: ModelParams) -> float:
+    """Sum of prior log-densities, normalizing constants included:
+    log_lambda0 ~ N(-5, 2), beta ~ N(0, 1), u_raw ~ N(0, 1) and
+    sigma_u ~ HalfNormal(1)."""
+    mu0, sd0, sd_beta, s = -5.0, 2.0, 1.0, 1.0
     out = 0.0
     for v in params.log_lambda0:
-        out += -0.5 * ((v - priors.mu_log_lambda0) / sd0) ** 2 - 0.5 * _LOG_2PI - math.log(sd0)
+        out += -0.5 * ((v - mu0) / sd0) ** 2 - 0.5 * _LOG_2PI - math.log(sd0)
     for v in params.beta:
         out += -0.5 * (v / sd_beta) ** 2 - 0.5 * _LOG_2PI - math.log(sd_beta)
     for v in params.u_raw:
@@ -384,14 +383,14 @@ def log_prior(params: ModelParams, priors=None) -> float:
     return out
 
 
-def log_posterior_unconstrained(theta: np.ndarray, data, layout=None, priors=None) -> float:
+def log_posterior_unconstrained(theta: np.ndarray, data, layout=None) -> float:
     """Unconstrained-space log-posterior: likelihood + prior + Jacobian zeta."""
     from pumpcausal.hazard import ParamLayout
 
     layout = layout or ParamLayout.for_dataset(data)
     params = unpack(layout, theta)
     zeta = float(theta[layout.zeta_index])
-    return log_likelihood(params, data) + log_prior(params, priors) + zeta
+    return log_likelihood(params, data) + log_prior(params) + zeta
 
 
 # -------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TestStandardize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             std = standardize(x, [f"v{j}" for j in range(20)])
-        assert std.n_vars == 20 and std.dropped == {}
+        assert std.x.shape[1] == 20 and std.dropped == {}
 
 
 class TestFastIca:
@@ -374,7 +374,7 @@ class TestDiscover:
     def test_planted_effect_recovered(self):
         scenario = generate_lingam_scenario(5, {"std": 1.5}, noise_scale=0.5)
         model = discover(_group_from_scenario(scenario), LingamConfig(n_bootstrap=30, seed=5))
-        effects = model.effects_to_target(raw=True)
+        effects = {r["from"]: r["effect"] for r in model.target_edge_table()}
         assert effects["std"] == pytest.approx(1.5, abs=0.2)
         others = [abs(v) for k, v in effects.items() if k != "std"]
         assert max(others) < 0.1
@@ -382,7 +382,7 @@ class TestDiscover:
     def test_null_scenario_all_small(self):
         scenario = generate_lingam_scenario(6, {}, noise_scale=1.0)
         model = discover(_group_from_scenario(scenario), LingamConfig(n_bootstrap=20, seed=6))
-        assert max(abs(v) for v in model.effects_to_target(raw=True).values()) < 0.05
+        assert max(abs(r["effect"]) for r in model.target_edge_table()) < 0.05
 
     def test_single_feature_direction(self):
         hits = 0

@@ -1,6 +1,7 @@
 """Pipeline stages, caching, config parsing, and CLI exit codes."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -12,8 +13,14 @@ from pumpcausal.cli import main
 from pumpcausal.diagnostics import ess, split_rhat
 from pumpcausal.errors import ConfigError
 from pumpcausal.lingam import LingamConfig
-from pumpcausal.nuts import PosteriorSamples, SamplerConfig, write_diagnostics_json
+from pumpcausal.nuts import (
+    PosteriorSamples,
+    SamplerConfig,
+    diagnostic_flags,
+    write_diagnostics_json,
+)
 from pumpcausal.pipeline import _SECTION_KEYS, PipelineConfig, build_report, load_config
+from pumpcausal.rng import worker_count
 
 SMALL_CONFIG = """
 [pipeline]
@@ -86,7 +93,7 @@ class TestConfigLoading:
             "pipeline": {
                 "out_dir": ("elsewhere", "out_dir", Path("elsewhere")),
                 "seed": ("5", "seed", 5),
-                "threads": ("0", "threads", None),  # 0 = all cores
+                "threads": ("0", "threads", 0),  # 0 = all cores
                 "source": ("files", "source", "files"),
                 "inspections": (str(inspections), "inspections", inspections),
                 "timeseries": (str(timeseries), "timeseries", timeseries),
@@ -194,6 +201,15 @@ class TestConfigLoading:
             load_config(bad)
         bad.write_text("[features]\nwindow = 31\n")
         assert load_config(bad).feature_window == 31
+
+    def test_threads_zero_means_all_cores(self, tmp_path):
+        # the same value in code and in a config file, for chains and bootstrap
+        path = tmp_path / "threads.ini"
+        path.write_text("[pipeline]\nthreads = 0\n")
+        for cfg in (PipelineConfig(threads=0), load_config(path)):
+            for threads in (cfg.sampler_config().threads, cfg.lingam_config().threads):
+                for n in (1, 2, 3, 64):
+                    assert worker_count(threads, n) == min(os.cpu_count(), n)
 
     def test_cli_overrides_take_precedence(self, tmp_path):
         path, _ = _write_config(tmp_path, out_name="o1")
@@ -380,21 +396,26 @@ class TestPipelineCommand:
         assert (out / "report.json").read_bytes() == before
 
 
+def _stuck_chains(n_draws: int = 10) -> PosteriorSamples:
+    """Two chains of one parameter, constant at 0 and at 1."""
+    draws = np.zeros((2, n_draws, 1))
+    draws[1] = 1.0
+    return PosteriorSamples(
+        draws=draws,
+        divergences=np.zeros(2, int),
+        step_sizes=np.ones(2),
+        accept_means=np.ones(2),
+        grad_evals=np.ones(2, int),
+        max_depth_hits=np.zeros(2, int),
+        rhat=np.array([split_rhat(draws[:, :, 0])]),
+        ess_bulk=np.array([ess(draws[:, :, 0])]),
+    )
+
+
 class TestNonFiniteDiagnostics:
     def test_infinite_rhat_is_null_and_flagged(self, tmp_path):
         # two chains, each constant, at different values: split R-hat is inf
-        draws = np.zeros((2, 10, 1))
-        draws[1] = 1.0
-        samples = PosteriorSamples(
-            draws=draws,
-            divergences=np.zeros(2, int),
-            step_sizes=np.ones(2),
-            accept_means=np.ones(2),
-            grad_evals=np.ones(2, int),
-            max_depth_hits=np.zeros(2, int),
-            rhat=np.array([split_rhat(draws[:, :, 0])]),
-            ess_bulk=np.array([ess(draws[:, :, 0])]),
-        )
+        samples = _stuck_chains()
         assert samples.rhat[0] == np.inf
         cfg = PipelineConfig(out_dir=tmp_path)
         write_diagnostics_json(samples, ["x"], cfg.path("diagnostics"))
@@ -413,6 +434,14 @@ class TestNonFiniteDiagnostics:
         assert report["sampler"]["max_rhat"] is None
         assert "max split R-hat inf >= 1.01" in report["sampler"]["flags"]
         assert report["skipped_groups"] == ["negative", "positive"]
+
+    @pytest.mark.parametrize("n_draws", [10, 1000])
+    def test_chains_stuck_at_different_values_raise_ess_flag(self, n_draws):
+        # every autocorrelation is 1, so ESS is 2n / (2n - 1), not the draw
+        # count 2n (which at n = 1000 would clear the 800 threshold)
+        samples = _stuck_chains(n_draws)
+        assert samples.ess_bulk[0] == pytest.approx(2 * n_draws / (2 * n_draws - 1))
+        assert "min ESS 1 below 400 per chain (800 total)" in diagnostic_flags(samples)
 
 
 class TestMalformedArtifacts:

@@ -38,7 +38,9 @@ class TestHazardData:
         b = generate_hazard_data(SynthConfig(seed=4, n_pumps=10))
         for name in ("pump", "day", "state"):
             assert np.array_equal(getattr(a.inspections, name), getattr(b.inspections, name))
-        assert a.dataset == b.dataset
+        for name in ("y", "dt", "k", "pump", "x"):
+            assert np.array_equal(getattr(a.dataset, name), getattr(b.dataset, name))
+        assert (a.dataset.n_pumps, a.dataset.n_states) == (b.dataset.n_pumps, b.dataset.n_states)
         np.testing.assert_array_equal(a.truth.u_true, b.truth.u_true)
         for name, writer, items_a, items_b in (
             ("i.csv", write_inspections_csv, a.inspections, b.inspections),
@@ -141,7 +143,7 @@ class TestScenarios:
 
     def test_planted_effect_ols_recovery(self):
         scenario = generate_lingam_scenario(9, {"std": 1.5}, noise_scale=0.5)
-        f = scenario.features.column("std")
+        f = scenario.features.values[:, scenario.features.feature_names.index("std")]
         coef = float(f @ scenario.target) / float(f @ f)
         assert coef == pytest.approx(1.5, abs=0.1)
 
