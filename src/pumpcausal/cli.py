@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Subcommands mirror the pipeline stages; global flags select the config
-file, seed, output directory, and thread count.  Exit codes: 0 success,
-1 validation error, 2 stage failure, 3 success with diagnostic warnings
-(sampler diagnostics, or no group large enough for discovery).
+There is one subcommand per row of ``pipeline.STAGES``, plus ``pipeline`` and
+``report``; global flags select the config file, seed, output directory, and
+thread count.  Exit codes: 0 success, 1 validation error, 2 stage failure,
+3 success with diagnostic warnings (sampler diagnostics, or no group large
+enough for discovery).
 """
 
 from __future__ import annotations
@@ -12,18 +13,8 @@ import sys
 
 import click
 
-from .errors import ConfigError, PumpcausalError, StageError
-from .pipeline import (
-    PipelineConfig,
-    build_report,
-    load_config,
-    run_discover,
-    run_features,
-    run_fit,
-    run_group,
-    run_pipeline,
-    run_synth,
-)
+from .errors import ConfigError, PumpcausalError
+from .pipeline import STAGES, PipelineConfig, build_report, load_config, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -70,7 +61,7 @@ def _execute(stage_fn, cfg) -> list[str]:
     except ConfigError as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except (StageError, PumpcausalError) as exc:
+    except PumpcausalError as exc:
         click.echo(f"stage failure: {exc}", err=True)
         sys.exit(EXIT_STAGE)
 
@@ -83,51 +74,23 @@ def _report_flags(flags: list[str]) -> None:
         sys.exit(EXIT_WARNINGS)
 
 
-@main.command()
-@click.pass_context
-def synth(ctx):
-    """Generate synthetic inspections, timeseries, and ground truth."""
-    cfg = _config(ctx)
-    _execute(run_synth, cfg)
-    click.echo(f"synthetic data written to {cfg.out_dir}")
+def _stage_command(stage) -> click.Command:
+    """The subcommand that runs ``stage`` alone from cached artifacts."""
+
+    @click.pass_context
+    def command(ctx):
+        cfg = _config(ctx)
+        flags = _execute(stage.run, cfg)
+        click.echo(f"{stage.name} artifacts written to {cfg.out_dir}")
+        _report_flags(flags)
+
+    return click.Command(
+        stage.name, callback=command, help=stage.run.__doc__.splitlines()[0]
+    )
 
 
-@main.command()
-@click.pass_context
-def fit(ctx):
-    """Fit the hazard model and extract per-pump random effects."""
-    cfg = _config(ctx)
-    flags = _execute(run_fit, cfg)
-    click.echo(f"fit artifacts written to {cfg.out_dir}")
-    _report_flags(flags)
-
-
-@main.command()
-@click.pass_context
-def features(ctx):
-    """Extract the time-series feature matrix."""
-    cfg = _config(ctx)
-    _execute(run_features, cfg)
-    click.echo(f"features written to {cfg.out_dir}")
-
-
-@main.command()
-@click.pass_context
-def group(ctx):
-    """Assign pumps to sign-based groups."""
-    cfg = _config(ctx)
-    _execute(run_group, cfg)
-    click.echo(f"groups written to {cfg.out_dir}")
-
-
-@main.command()
-@click.pass_context
-def discover(ctx):
-    """Run per-group causal discovery and write the run report."""
-    cfg = _config(ctx)
-    flags = _execute(run_discover, cfg)
-    click.echo(f"discovery artifacts written to {cfg.out_dir}")
-    _report_flags(flags)
+for _stage in STAGES:
+    main.add_command(_stage_command(_stage))
 
 
 @main.command()

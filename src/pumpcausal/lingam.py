@@ -329,23 +329,6 @@ def causal_order(ica: IcaResult) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _effects_lstsq(x: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Per-child minimum-norm least squares, warning on rank deficiency."""
-    d = x.shape[1]
-    b = np.zeros((d, d))
-    for pos in range(1, d):
-        child = order[pos]
-        parents = list(order[:pos])
-        coef, _, rank, _ = np.linalg.lstsq(x[:, parents], x[:, child], rcond=None)
-        if rank < len(parents):
-            warnings.warn(
-                f"rank-deficient predecessor block for variable {child}; "
-                "minimum-norm solution used"
-            )
-        b[parents, child] = coef
-    return b
-
-
 def estimate_effects(
     data: StandardizedData | np.ndarray, order: Sequence[int]
 ) -> np.ndarray:
@@ -356,7 +339,7 @@ def estimate_effects(
     when i precedes j in ``order``.  One QR factorization serves every
     regression: with x[:, order] = QR and R = diag(r) U, the coefficients
     in order coordinates are I - U^-1.  A diagonal entry of R at lstsq's
-    rank threshold falls back to per-child minimum-norm least squares.
+    rank threshold, a variable in the span of its predecessors, is an error.
     """
     x = data.x if isinstance(data, StandardizedData) else np.asarray(data, float)
     n, d = x.shape
@@ -369,8 +352,12 @@ def estimate_effects(
     order = list(order)
     r = np.linalg.qr(x[:, order], mode="r")
     diag = np.abs(np.diag(r))
-    if np.any(diag <= np.finfo(float).eps * max(n, d) * diag.max()):
-        return _effects_lstsq(x, order)
+    deficient = np.flatnonzero(diag <= np.finfo(float).eps * max(n, d) * diag.max())
+    if len(deficient):
+        raise LingamError(
+            f"rank-deficient predecessor block: variable {order[deficient[0]]} "
+            "is a linear combination of the variables before it"
+        )
     unit = r / np.diag(r)[:, None]
     b_ordered = np.triu(np.eye(d) - np.linalg.inv(unit), 1)
     b = np.zeros((d, d))
@@ -418,16 +405,14 @@ def _fit_block(
     mixing, ok = _stacked(np.linalg.inv, demixing)
 
     fits: list = [None] * len(resamples)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in np.flatnonzero(ok):
-            ica = IcaResult(mixing[k], demixing[k], int(n_iter[k]), bool(converged[k]))
-            b = live[k]
-            try:
-                b_std = estimate_effects(z[b], causal_order(ica))
-            except (LingamError, np.linalg.LinAlgError):
-                continue
-            fits[b] = (b_std, b_std * sd[b][None, :] / sd[b][:, None], ica.converged)
+    for k in np.flatnonzero(ok):
+        ica = IcaResult(mixing[k], demixing[k], int(n_iter[k]), bool(converged[k]))
+        b = live[k]
+        try:
+            b_std = estimate_effects(z[b], causal_order(ica))
+        except (LingamError, np.linalg.LinAlgError):
+            continue
+        fits[b] = (b_std, b_std * sd[b][None, :] / sd[b][:, None], ica.converged)
     return fits
 
 

@@ -432,13 +432,8 @@ def _run_chains(
                 if w_start <= it < w_end:
                     window_draws.append(theta)
                 if it == w_end - 1:
-                    sample_arr = np.asarray(window_draws)
-                    n_w = len(sample_arr)
-                    var = (
-                        sample_arr.var(axis=0, ddof=1)
-                        if n_w > 1
-                        else np.ones((n, dim))
-                    )
+                    n_w = len(window_draws)  # at least _BASE_WINDOW
+                    var = np.asarray(window_draws).var(axis=0, ddof=1)
                     # regularize toward unit variance
                     inv_mass = (n_w / (n_w + 5.0)) * var + (5.0 / (n_w + 5.0))
                     window_draws = []

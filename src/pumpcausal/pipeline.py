@@ -1,9 +1,11 @@
 """Workflow orchestration: data -> fit -> features -> groups -> discovery.
 
 Each stage reads and writes files under the output directory, so any stage
-can be re-run from cached upstream artifacts.  The pipeline command hashes
-stage inputs into a manifest and skips a stage whose inputs and outputs are
-both unchanged; a corrupted or missing output invalidates the cache entry.
+can be re-run from cached upstream artifacts.  ``STAGES`` lists the stages,
+one row each with its runner, files and cache-keying settings.  The pipeline
+command hashes stage inputs into a manifest and skips a stage whose inputs
+and outputs are both unchanged; a corrupted or missing output invalidates the
+cache entry.
 
 All outputs are byte-deterministic for fixed (inputs, config, seed) except
 ``timings.json``, the only timing-bearing artifact.
@@ -17,6 +19,7 @@ import hashlib
 import json
 import time
 import typing
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +50,6 @@ from .nuts import (
 )
 from .synth import SynthConfig, generate_hazard_data
 from .tables import read_json, read_table, write_table
-
-STAGES = ("synth", "fit", "features", "group", "discover")
 
 FILES = {
     "inspections": "inspections.csv",
@@ -262,7 +263,10 @@ def run_synth(cfg: PipelineConfig) -> None:
 
 
 def run_fit(cfg: PipelineConfig) -> list[str]:
-    """Fit the hazard model; returns soft diagnostic flags."""
+    """Fit the hazard model and extract per-pump random effects.
+
+    Returns the sampler's soft diagnostic flags.
+    """
     with _stage_guard("fit"):
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -384,10 +388,11 @@ def _discovery_flags(skipped_groups: list[str]) -> list[str]:
 
 
 def run_discover(cfg: PipelineConfig) -> list[str]:
-    """Per-group causal discovery plus figure data and the run report.
+    """Run per-group causal discovery and write the run report.
 
-    Returns a flag when no group was large enough to analyse.  A skipped
-    group leaves no artifact, which is how the report finds it.
+    Also writes the figure data.  Returns a flag when no group was large
+    enough to analyse.  A skipped group leaves no artifact, which is how the
+    report finds it.
     """
     with _stage_guard("discover"):
         matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
@@ -504,55 +509,55 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _repr_without_threads(config) -> str:
-    """The config's repr with ``threads`` at its default, which no output
-    depends on."""
-    return repr(dataclasses.replace(config, threads=0))
+def _without_threads(config):
+    """``config`` with ``threads`` at its default, which no output depends on."""
+    return dataclasses.replace(config, threads=0)
 
 
-def _stage_signature(cfg: PipelineConfig, stage: str) -> str:
+def _files(*keys: str) -> Callable[[PipelineConfig], list[Path]]:
+    return lambda cfg: [cfg.path(key) for key in keys]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: ``run`` reads ``inputs(cfg)`` and writes
+    ``outputs(cfg)``; its cache key is its name, the seed, the ``str`` of
+    each of ``settings(cfg)`` and the bytes of its inputs."""
+
+    name: str
+    run: Callable[[PipelineConfig], list[str] | None]
+    outputs: Callable[[PipelineConfig], list[Path]]
+    inputs: Callable[[PipelineConfig], list[Path]]
+    settings: Callable[[PipelineConfig], tuple]
+
+
+STAGES = (
+    Stage("synth", run_synth, _files("inspections", "timeseries", "ground_truth"),
+          inputs=_files(), settings=lambda cfg: (cfg.synth,)),
+    Stage("fit", run_fit, _files("transitions", "draws", "diagnostics", "u_estimates"),
+          inputs=lambda cfg: [cfg.inspections_path()]
+          + ([cfg.timeseries_path()] if cfg.use_covariates else []),
+          settings=lambda cfg: (_without_threads(cfg.sampler_config()), cfg.use_covariates)),
+    Stage("features", run_features, _files("features"),
+          inputs=lambda cfg: [cfg.timeseries_path()],
+          settings=lambda cfg: (
+              cfg.feature_window, cfg.feature_window_end, ",".join(cfg.active_features))),
+    Stage("group", run_group, _files("groups"),
+          inputs=_files("u_estimates", "features"), settings=lambda cfg: ()),
+    Stage("discover", run_discover,
+          lambda cfg: _files("u_hist", "report")(cfg)
+          + [path for g in Group for path in group_artifact_paths(cfg, g).values()],
+          inputs=_files("groups", "features", "diagnostics"),
+          settings=lambda cfg: (_without_threads(cfg.lingam_config()), cfg.top_k)),
+)
+
+
+def _stage_signature(cfg: PipelineConfig, stage: Stage) -> str:
     """Hash of a stage's input files and the config subset it depends on."""
-    parts: list[str] = [stage, str(cfg.seed)]
-    inputs: list[Path] = []
-    if stage == "synth":
-        parts.append(repr(cfg.synth))
-    elif stage == "fit":
-        parts += [_repr_without_threads(cfg.sampler_config()), str(cfg.use_covariates)]
-        inputs = [cfg.inspections_path()]
-        if cfg.use_covariates:
-            inputs.append(cfg.timeseries_path())
-    elif stage == "features":
-        parts += [
-            str(cfg.feature_window),
-            str(cfg.feature_window_end),
-            ",".join(cfg.active_features),
-        ]
-        inputs = [cfg.timeseries_path()]
-    elif stage == "group":
-        inputs = [cfg.path("u_estimates"), cfg.path("features")]
-    elif stage == "discover":
-        parts += [_repr_without_threads(cfg.lingam_config()), str(cfg.top_k)]
-        inputs = [cfg.path("groups"), cfg.path("features"), cfg.path("diagnostics")]
-    for path in inputs:
+    parts = [stage.name, str(cfg.seed), *map(str, stage.settings(cfg))]
+    for path in stage.inputs(cfg):
         parts.append(_sha256_file(path) if path.exists() else "missing")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-_STAGE_OUTPUTS = {
-    "synth": ["inspections", "timeseries", "ground_truth"],
-    "fit": ["transitions", "draws", "diagnostics", "u_estimates"],
-    "features": ["features"],
-    "group": ["groups"],
-    "discover": ["u_hist", "report"],
-}
-
-
-def _stage_output_paths(cfg: PipelineConfig, stage: str) -> list[Path]:
-    paths = [cfg.path(key) for key in _STAGE_OUTPUTS[stage]]
-    if stage == "discover":
-        for group in Group:
-            paths.extend(group_artifact_paths(cfg, group).values())
-    return paths
 
 
 def _load_manifest(cfg: PipelineConfig) -> dict:
@@ -564,8 +569,8 @@ def _load_manifest(cfg: PipelineConfig) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
-def _stage_cached(cfg: PipelineConfig, manifest: dict, stage: str) -> bool:
-    entry = manifest.get(stage)
+def _stage_cached(cfg: PipelineConfig, manifest: dict, stage: Stage) -> bool:
+    entry = manifest.get(stage.name)
     if not entry or entry.get("inputs") != _stage_signature(cfg, stage):
         return False
     for name, digest in entry.get("outputs", {}).items():
@@ -575,12 +580,12 @@ def _stage_cached(cfg: PipelineConfig, manifest: dict, stage: str) -> bool:
     return True
 
 
-def _record_stage(cfg: PipelineConfig, manifest: dict, stage: str) -> None:
+def _record_stage(cfg: PipelineConfig, manifest: dict, stage: Stage) -> None:
     outputs = {}
-    for path in _stage_output_paths(cfg, stage):
+    for path in stage.outputs(cfg):
         if path.exists():
             outputs[path.name] = _sha256_file(path)
-    manifest[stage] = {"inputs": _stage_signature(cfg, stage), "outputs": outputs}
+    manifest[stage.name] = {"inputs": _stage_signature(cfg, stage), "outputs": outputs}
     cfg.path("manifest").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
@@ -596,26 +601,19 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(cfg) if use_cache else {}
     timings: dict[str, float] = {}
-    runners = {
-        "synth": run_synth,
-        "fit": run_fit,
-        "features": run_features,
-        "group": run_group,
-        "discover": run_discover,
-    }
     try:
         for stage in STAGES:
-            if stage == "synth" and cfg.source == "files":
+            if stage.name == "synth" and cfg.source == "files":
                 continue
             if use_cache and _stage_cached(cfg, manifest, stage):
-                timings[f"{stage}_cached"] = 0.0
+                timings[f"{stage.name}_cached"] = 0.0
                 continue
             started = time.perf_counter()
-            runners[stage](cfg)
-            timings[stage] = time.perf_counter() - started
+            stage.run(cfg)
+            timings[stage.name] = time.perf_counter() - started
             _record_stage(cfg, manifest, stage)
     except BaseException:
-        timings["failed_stage"] = stage
+        timings["failed_stage"] = stage.name
         raise
     finally:
         cfg.path("timings").write_text(

@@ -244,11 +244,11 @@ class TestEstimateEffects:
                 if position[i] >= position[j]:
                     assert b[i, j] == 0.0
 
-    def test_rank_deficient_warns(self):
+    def test_rank_deficient_raises(self):
         rng = rng_mod.stream(0, 910)
         col = rng.uniform(-1, 1, 100)
         x = np.column_stack([col, col, rng.uniform(-1, 1, 100)])
-        with pytest.warns(UserWarning, match="rank-deficient"):
+        with pytest.raises(LingamError, match="rank-deficient.*variable 1 "):
             estimate_effects(x, (0, 1, 2))
 
     def test_order_invariant_to_column_scaling(self):

@@ -93,7 +93,7 @@ class TestConfigLoading:
             "pipeline": {
                 "out_dir": ("elsewhere", "out_dir", Path("elsewhere")),
                 "seed": ("5", "seed", 5),
-                "threads": ("0", "threads", 0),  # 0 = all cores
+                "threads": ("3", "threads", 3),
                 "source": ("files", "source", "files"),
                 "inspections": (str(inspections), "inspections", inspections),
                 "timeseries": (str(timeseries), "timeseries", timeseries),
@@ -118,7 +118,7 @@ class TestConfigLoading:
             "hazard": {"use_covariates": ("false", "use_covariates", False)},
             "features": {
                 "window": ("60", "feature_window", 60),
-                "window_end": ("", "feature_window_end", None),  # blank = default
+                "window_end": ("500", "feature_window_end", 500),
                 "active": ("std, min,q25", "active_features", ("std", "min", "q25")),
             },
             "lingam": {
@@ -142,6 +142,9 @@ class TestConfigLoading:
                 assert getattr(owner, name) == expected, (section, key)
                 assert type(getattr(owner, name)) is type(expected), (section, key)
         assert cfg.synth.seed == 5
+        blank = tmp_path / "blank.ini"
+        blank.write_text("[pipeline]\nthreads =\n[features]\nwindow_end =\n")
+        assert load_config(blank) == PipelineConfig()  # blank = default
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -394,6 +397,36 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["--config", str(config_path), "report"])
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == before
+
+
+class TestStageCacheKeys:
+    """A changed setting re-runs the stage it keys and every stage after it
+    whose input files change; the rest stay cached."""
+
+    @pytest.mark.parametrize(
+        "line, setting, reran",
+        [
+            ("n_bootstrap = 15", "n_bootstrap = 16", {"discover"}),
+            ("seed = 11", "seed = 11\ntop_k = 3", {"discover"}),
+            ("[features]", "[features]\nwindow = 60", {"features", "group", "discover"}),
+            ("n_draws = 100", "n_draws = 101", {"fit", "group", "discover"}),
+            ("[lingam]", "[hazard]\nuse_covariates = false\n[lingam]",
+             {"fit", "group", "discover"}),
+            ("n_pumps = 25", "n_pumps = 26", {"synth", "fit", "features", "group", "discover"}),
+        ],
+        ids=["n_bootstrap", "top_k", "window", "n_draws", "use_covariates", "n_pumps"],
+    )
+    def test_setting_reruns_exactly_its_stages(self, pipeline_run, tmp_path, line, setting, reran):
+        _, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(SMALL_CONFIG.format(out=copy).replace(line, setting))
+        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        assert result.exit_code in (0, 3), result.output
+        timings = json.loads((copy / "timings.json").read_text())
+        stages = ("synth", "fit", "features", "group", "discover")
+        assert set(timings) == {s if s in reran else f"{s}_cached" for s in stages}
 
 
 def _stuck_chains(n_draws: int = 10) -> PosteriorSamples:
