@@ -51,8 +51,10 @@ def sign_groups(u_mean: np.ndarray) -> np.ndarray:
 
 
 def min_members(n_features: int) -> int:
-    """Smallest group size for which causal discovery is attempted."""
-    return n_features + 2
+    """Smallest group size for which causal discovery is attempted: the
+    point fit of the features and the target needs more rows than variables
+    plus one, and the bootstrap at least ten."""
+    return max(n_features + 3, 10)
 
 
 def group_datasets(

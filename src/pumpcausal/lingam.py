@@ -9,8 +9,8 @@ row-resampled data.
 Orientation convention: adjacency[i, j] is the direct effect of variable i
 on variable j, so entries are structurally zero whenever i does not precede
 j in the causal order.  Effects are stored in standardized units together
-with the column means and standard deviations needed to map back to raw
-units (raw effect i->j = standardized effect * sd_j / sd_i).
+with the column standard deviations needed to map back to raw units (raw
+effect i->j = standardized effect * sd_j / sd_i).
 """
 
 from __future__ import annotations
@@ -38,19 +38,21 @@ TARGET_NAME = "u"
 # bootstrap resamples run in blocks of about this many stacked data elements
 # (resamples x rows x columns); the size depends on the data shape only
 _BLOCK_ELEMENTS = 2**15
+# FastICA stops once no component's direction changes by more than ICA_TOL
+# in one iteration, or after ICA_MAX_ITER iterations
+ICA_TOL = 1e-4
+ICA_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class LingamConfig:
-    ica_tol: float = 1e-4
-    ica_max_iter: int = 200
     n_bootstrap: int = 1000
     seed: int = 0
     threads: int = 0  # 0 = all available cores
 
     def __post_init__(self):
-        if self.ica_tol <= 0 or self.ica_max_iter < 1 or self.n_bootstrap < 1:
-            raise LingamError("invalid ICA or bootstrap settings")
+        if self.n_bootstrap < 1:
+            raise LingamError(f"n_bootstrap must be >= 1, got {self.n_bootstrap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +60,6 @@ class StandardizedData:
     """Column-standardized matrix with the scaling metadata."""
 
     x: np.ndarray  # (n, d), zero mean and unit sd per column
-    mean: np.ndarray
     sd: np.ndarray
     names: tuple[str, ...]
     dropped: dict[str, str]  # dropped column name -> reason
@@ -112,7 +113,6 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     kept = kept[independent]
     return StandardizedData(
         x=z[:, independent],
-        mean=mean[kept],
         sd=sd[kept],
         names=tuple(str(names[i]) for i in kept),
         dropped={
@@ -134,10 +134,9 @@ def _standardize_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class IcaResult:
-    """FastICA decomposition X ~ S @ mixing.T in standardized coordinates."""
+    """FastICA decomposition S = X @ demixing.T in standardized coordinates."""
 
-    mixing: np.ndarray  # (d, d)
-    demixing: np.ndarray  # (d, d), inverse of mixing
+    demixing: np.ndarray  # (d, d)
     n_iter: int
     converged: bool
 
@@ -207,7 +206,7 @@ def _sym_decorrelate(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, ok & np.isfinite(w).all(axis=(1, 2))
 
 
-def _ica_stack(zw: np.ndarray, starts: np.ndarray, config: LingamConfig):
+def _ica_stack(zw: np.ndarray, starts: np.ndarray):
     """Symmetric FastICA run in lock-step over a (B, n, d) stack of whitened
     matrices from (B, d, d) starting matrices.
 
@@ -218,7 +217,7 @@ def _ica_stack(zw: np.ndarray, starts: np.ndarray, config: LingamConfig):
     """
     size, n, d = zw.shape
     w_out = np.full((size, d, d), np.nan)
-    n_iter = np.full(size, config.ica_max_iter)
+    n_iter = np.full(size, ICA_MAX_ITER)
     converged = np.zeros(size, dtype=bool)
     ok = np.ones(size, dtype=bool)
     active = np.arange(size)
@@ -234,58 +233,45 @@ def _ica_stack(zw: np.ndarray, starts: np.ndarray, config: LingamConfig):
             n_iter[finished] = it
             w_out[finished] = w[done & fine]
             active, zw, w = active[~stop], zw[~stop], w[~stop]
-        if not len(active) or it == config.ica_max_iter:
+        if not len(active) or it == ICA_MAX_ITER:
             break
         it += 1
         g = np.tanh(zw @ _swap(w))
         g_prime_mean = (1.0 - g * g).mean(axis=1)
         w_new, fine = _sym_decorrelate(_swap(g) @ zw / n - g_prime_mean[:, :, None] * w)
         change = np.max(np.abs(np.abs(np.sum(w_new * w, axis=2)) - 1.0), axis=1)
-        done = change < config.ica_tol
+        done = change < ICA_TOL
         w = w_new
     w_out[active] = w
     return w_out, n_iter, converged, ok
 
 
-def fast_ica(
-    data: StandardizedData | np.ndarray,
-    config: LingamConfig = LingamConfig(),
-    rng: np.random.Generator | None = None,
-) -> IcaResult:
+def fast_ica(data: StandardizedData, config: LingamConfig = LingamConfig()) -> IcaResult:
     """Symmetric fixed-point FastICA with the log-cosh contrast.
 
     Whitens through the covariance eigendecomposition, then iterates the
-    tanh update with symmetric decorrelation until the component-wise
-    change is below tolerance or the iteration cap is reached.  This is the
-    bootstrap's stacked kernel on a batch of one.
+    tanh update with symmetric decorrelation from a start drawn from the
+    stream (config.seed, ICA-key) until the component-wise change is below
+    ICA_TOL or ICA_MAX_ITER is reached.  This is the bootstrap's stacked
+    kernel on a batch of one.
     """
-    if isinstance(data, StandardizedData):
-        x = data.x
-        names: Sequence[str] = data.names
-    else:
-        x = np.asarray(data, dtype=float)
-        names = [f"col{j}" for j in range(x.shape[1])]
+    x = data.x
     n, d = x.shape
     if n <= d + 1:
         raise LingamError(f"need more than d+1 = {d + 1} rows, got {n}")
-    _check_collinear(x, names)
+    _check_collinear(x, data.names)
     zw, whiten, ok = _whiten_stack(x[None])
     if not ok[0]:
         raise LingamError("singular covariance matrix (collinear column set)")
 
-    if rng is None:
-        rng = rng_mod.stream(config.seed, rng_mod.KEY_ICA)
-    w, n_iter, converged, ok = _ica_stack(zw, rng.standard_normal((1, d, d)), config)
+    rng = rng_mod.stream(config.seed, rng_mod.KEY_ICA)
+    w, n_iter, converged, ok = _ica_stack(zw, rng.standard_normal((1, d, d)))
     if not ok[0]:
         raise LingamError("FastICA diverged (non-finite demixing matrix)")
     if not converged[0]:
-        warnings.warn(
-            f"FastICA did not converge in {config.ica_max_iter} iterations"
-        )
-    demixing = w[0] @ whiten[0]
+        warnings.warn(f"FastICA did not converge in {ICA_MAX_ITER} iterations")
     return IcaResult(
-        mixing=np.linalg.inv(demixing),
-        demixing=demixing,
+        demixing=w[0] @ whiten[0],
         n_iter=int(n_iter[0]),
         converged=bool(converged[0]),
     )
@@ -379,7 +365,7 @@ class BootstrapResult:
 
 
 def _fit_block(
-    x: np.ndarray, seed: int, resamples: range, config: LingamConfig
+    x: np.ndarray, seed: int, resamples: range
 ) -> list[tuple[np.ndarray, np.ndarray, bool] | None]:
     """Full re-runs on a block of row resamples, FastICA in lock-step.
 
@@ -399,15 +385,13 @@ def _fit_block(
     live = np.flatnonzero(ok) if n > d + 1 else np.empty(0, dtype=np.intp)
     zw, whiten, ok = _whiten_stack(z[live])
     live, zw, whiten = live[ok], zw[ok], whiten[ok]
-    w, n_iter, converged, ok = _ica_stack(zw, starts[live], config)
+    w, n_iter, converged, ok = _ica_stack(zw, starts[live])
     live, n_iter, converged = live[ok], n_iter[ok], converged[ok]
     demixing = w[ok] @ whiten[ok]
-    mixing, ok = _stacked(np.linalg.inv, demixing)
 
     fits: list = [None] * len(resamples)
-    for k in np.flatnonzero(ok):
-        ica = IcaResult(mixing[k], demixing[k], int(n_iter[k]), bool(converged[k]))
-        b = live[k]
+    for k, b in enumerate(live):
+        ica = IcaResult(demixing[k], int(n_iter[k]), bool(converged[k]))
         try:
             b_std = estimate_effects(z[b], causal_order(ica))
         except (LingamError, np.linalg.LinAlgError):
@@ -418,10 +402,10 @@ def _fit_block(
 
 def bootstrap_cis(
     x: np.ndarray,
-    n_resamples: int = 1000,
-    seed: int = 0,
-    config: LingamConfig = LingamConfig(),
-    point_estimate: np.ndarray | None = None,
+    point_estimate: np.ndarray,
+    *,
+    n_resamples: int,
+    config: LingamConfig,
 ) -> BootstrapResult:
     """Percentile 95% CIs per edge from full re-runs on row resamples.
 
@@ -436,9 +420,9 @@ def bootstrap_cis(
 
     Resamples run in blocks of consecutive indices, FastICA in lock-step
     within a block; blocks run sequentially or across worker processes
-    (config.threads).  Each resample owns an independent RNG stream and
-    block boundaries depend on the data shape only, so results do not
-    depend on the thread count.
+    (config.threads).  Each resample owns an independent RNG stream of
+    config.seed and block boundaries depend on the data shape only, so
+    results do not depend on the thread count.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -446,16 +430,10 @@ def bootstrap_cis(
         raise LingamError(f"bootstrap needs n >= 10 rows, got {n}")
     if n_resamples < 1:
         raise LingamError(f"bootstrap needs n_resamples >= 1, got {n_resamples}")
-    if point_estimate is None:
-        z, _, ok = _standardize_stack(x[None])
-        if not ok[0]:
-            raise LingamError("constant column in the bootstrap data")
-        ica = fast_ica(z[0], config, rng=rng_mod.stream(seed, rng_mod.KEY_ICA))
-        point_estimate = estimate_effects(z[0], causal_order(ica))
     size = max(1, _BLOCK_ELEMENTS // (n * d))
     blocks = [range(s, min(s + size, n_resamples)) for s in range(0, n_resamples, size)]
     fitted = rng_mod.map_replicas(
-        lambda k: _fit_block(x, seed, blocks[k], config), len(blocks), config.threads
+        lambda k: _fit_block(x, config.seed, blocks[k]), len(blocks), config.threads
     )
     fits = [fit for block in fitted for fit in block if fit is not None]
     if not fits:
@@ -482,21 +460,14 @@ class CausalModel:
     variable_names: tuple[str, ...]
     causal_order: tuple[int, ...]
     adjacency: np.ndarray  # standardized-unit effects, (d+1, d+1)
-    column_means: np.ndarray
     column_sds: np.ndarray
-    ci_low: np.ndarray  # standardized units
-    ci_high: np.ndarray
-    ci_low_raw: np.ndarray  # raw data units
-    ci_high_raw: np.ndarray
-    sign_stability: np.ndarray
-    ica_converged: bool
-    ica_iterations: int
-    n_flagged_resamples: int
-    n_unconverged_resamples: int
     dropped_columns: dict[str, str]  # name -> reason, as StandardizedData.dropped
+    ica: IcaResult  # the point fit's decomposition
+    bootstrap: BootstrapResult
 
     def edge_rows(self) -> list[dict]:
         """All (d+1)^2 ordered pairs with raw-unit effect and CIs."""
+        boot = self.bootstrap
         rows = []
         for i, from_name in enumerate(self.variable_names):
             for j, to_name in enumerate(self.variable_names):
@@ -507,9 +478,9 @@ class CausalModel:
                         "effect": float(
                             self.adjacency[i, j] * (self.column_sds[j] / self.column_sds[i])
                         ),
-                        "ci_low": float(self.ci_low_raw[i, j]),
-                        "ci_high": float(self.ci_high_raw[i, j]),
-                        "sign_stability": float(self.sign_stability[i, j]),
+                        "ci_low": float(boot.ci_low_raw[i, j]),
+                        "ci_high": float(boot.ci_high_raw[i, j]),
+                        "sign_stability": float(boot.sign_stability[i, j]),
                     }
                 )
         return rows
@@ -551,30 +522,17 @@ def discover(group: GroupDataset, config: LingamConfig = LingamConfig()) -> Caus
     ica = fast_ica(std, config)
     order = causal_order(ica)
     adjacency = estimate_effects(std, order)
-    boot = bootstrap_cis(
-        x_kept,
-        n_resamples=config.n_bootstrap,
-        seed=config.seed,
-        config=config,
-        point_estimate=adjacency,
-    )
     return CausalModel(
         group=group.group.value,
         variable_names=std.names,
         causal_order=order,
         adjacency=adjacency,
-        column_means=std.mean,
         column_sds=std.sd,
-        ci_low=boot.ci_low,
-        ci_high=boot.ci_high,
-        ci_low_raw=boot.ci_low_raw,
-        ci_high_raw=boot.ci_high_raw,
-        sign_stability=boot.sign_stability,
-        ica_converged=ica.converged,
-        ica_iterations=ica.n_iter,
-        n_flagged_resamples=boot.n_flagged,
-        n_unconverged_resamples=boot.n_unconverged,
         dropped_columns=std.dropped,
+        ica=ica,
+        bootstrap=bootstrap_cis(
+            x_kept, adjacency, n_resamples=config.n_bootstrap, config=config
+        ),
     )
 
 
@@ -610,11 +568,11 @@ def write_discovery_json(model: CausalModel, path: str | Path, n_bootstrap: int)
     """How the group's discovery went: dropped columns, ICA, bootstrap."""
     record = {
         "dropped_columns": model.dropped_columns,
-        "ica": {"iterations": model.ica_iterations, "converged": model.ica_converged},
+        "ica": {"iterations": model.ica.n_iter, "converged": model.ica.converged},
         "bootstrap": {
             "n_resamples": n_bootstrap,
-            "n_flagged": model.n_flagged_resamples,
-            "n_unconverged": model.n_unconverged_resamples,
+            "n_flagged": model.bootstrap.n_flagged,
+            "n_unconverged": model.bootstrap.n_unconverged,
         },
     }
     Path(path).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

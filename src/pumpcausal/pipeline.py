@@ -103,8 +103,6 @@ class PipelineConfig:
     feature_window: int = features_mod.DEFAULT_WINDOW
     feature_window_end: int | None = None
     active_features: tuple[str, ...] = features_mod.DEFAULT_ACTIVE_FEATURES
-    ica_tol: float = LingamConfig.ica_tol
-    ica_max_iter: int = LingamConfig.ica_max_iter
     n_bootstrap: int = LingamConfig.n_bootstrap
 
     def __post_init__(self):
@@ -164,7 +162,7 @@ _SECTION_KEYS = {
     "sampler": {"n_draws", "n_tune", "n_chains", "target_accept", "max_tree_depth"},
     "hazard": {"use_covariates"},
     "features": {"window", "window_end", "active"},
-    "lingam": {"n_bootstrap", "ica_tol", "ica_max_iter"},
+    "lingam": {"n_bootstrap"},
 }
 _FIELD_FOR_KEY = {
     "window": "feature_window",

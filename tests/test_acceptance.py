@@ -345,8 +345,8 @@ def test_criterion_7_bootstrap_coverage():
             warnings.simplefilter("ignore")
             boot = bootstrap_cis(
                 np.column_stack([x0, x1]),
+                np.zeros((2, 2)),  # only the sign stability reads the point estimate
                 n_resamples=200,
-                seed=experiment,
                 config=LingamConfig(n_bootstrap=200, seed=experiment),
             )
         covered += boot.ci_low_raw[0, 1] <= truth <= boot.ci_high_raw[0, 1]

@@ -83,5 +83,5 @@ class TestGroupDatasets:
             group_datasets(_matrix(3), u_mean, sign_groups(u_mean))
 
     def test_min_members_gate(self):
-        assert min_members(22) == 24
-        assert min_members(1) == 3
+        assert min_members(22) == 25
+        assert min_members(1) == 10

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import pumpcausal.lingam as lingam_mod
 import pumpcausal.rng as rng_mod
 from oracles import lingam_bootstrap_serial, lingam_order_loop, ols_normal_equations
 from pumpcausal.errors import InsufficientGroupError, LingamError
-from pumpcausal.grouping import Group, GroupDataset
+from pumpcausal.grouping import Group, GroupDataset, min_members
 from pumpcausal.lingam import (
     _BLOCK_ELEMENTS,
     CausalModel,
@@ -26,7 +27,7 @@ from pumpcausal.lingam import (
     write_effects_csv,
     write_order_json,
 )
-from pumpcausal.synth import generate_lingam_scenario, generate_sem_data
+from pumpcausal.synth import SCENARIO_FEATURES, generate_lingam_scenario, generate_sem_data
 
 
 def _uniform_sources(rng, n, d):
@@ -36,7 +37,7 @@ def _uniform_sources(rng, n, d):
 
 def _ica_from_demixing(w):
     w = np.asarray(w, float)
-    return IcaResult(mixing=np.linalg.inv(w), demixing=w, n_iter=1, converged=True)
+    return IcaResult(demixing=w, n_iter=1, converged=True)
 
 
 class TestStandardize:
@@ -102,7 +103,7 @@ class TestFastIca:
         assert result.converged
         # expected mixing in standardized coordinates, unit-variance sources
         expected = (mixing * sources.std(axis=0)[None, :]) / x.std(axis=0)[:, None]
-        got = result.mixing
+        got = np.linalg.inv(result.demixing)
         best = np.inf
         for perm in ([0, 1], [1, 0]):
             for s0 in (1.0, -1.0):
@@ -111,19 +112,22 @@ class TestFastIca:
                     best = min(best, np.max(np.abs(candidate - expected)))
         assert best < 0.05
 
-    def test_demixing_inverts_mixing(self):
+    def test_recovered_sources_are_white(self):
         rng = rng_mod.stream(0, 902)
         x = _uniform_sources(rng, 2000, 4)
-        result = fast_ica(standardize(x, list("abcd")), LingamConfig(seed=3))
-        identity = result.demixing @ result.mixing
-        assert np.max(np.abs(identity - np.eye(4))) < 1e-6
+        std = standardize(x, list("abcd"))
+        sources = std.x @ fast_ica(std, LingamConfig(seed=3)).demixing.T
+        cov = sources.T @ sources / len(sources)
+        assert np.max(np.abs(cov - np.eye(4))) < 1e-6
 
-    def test_iteration_cap_flags_nonconvergence(self):
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(lingam_mod, "ICA_MAX_ITER", 2)
         rng = rng_mod.stream(0, 903)
         x = _uniform_sources(rng, 1000, 3)
-        with pytest.warns(UserWarning, match="did not converge"):
-            result = fast_ica(standardize(x, list("abc")), LingamConfig(ica_max_iter=2, seed=4))
+        with pytest.warns(UserWarning, match="did not converge in 2 iterations"):
+            result = fast_ica(standardize(x, list("abc")), LingamConfig(seed=4))
         assert result.converged is False
+        assert result.n_iter == 2
 
     def test_gaussian_data_runs_and_flags(self):
         rng = rng_mod.stream(0, 904)
@@ -135,16 +139,20 @@ class TestFastIca:
         assert np.all(np.isfinite(result.demixing))
 
     def test_collinear_pair_named(self):
+        # nearly, not exactly, a multiple: standardize keeps the column
         rng = rng_mod.stream(0, 905)
         base = rng.uniform(-1, 1, 500)
-        x = np.column_stack([base, 2.0 * base, rng.uniform(-1, 1, 500)])
-        std_x = (x - x.mean(0)) / x.std(0)
-        with pytest.raises(LingamError, match="'col0' and 'col1'"):
-            fast_ica(std_x)
+        near = 2.0 * base + 1e-5 * rng.uniform(-1, 1, 500)
+        x = np.column_stack([base, near, rng.uniform(-1, 1, 500)])
+        std = standardize(x, ["base", "near", "other"])
+        assert std.dropped == {}
+        with pytest.raises(LingamError, match="'base' and 'near'"):
+            fast_ica(std)
 
     def test_too_few_rows(self):
-        with pytest.raises(LingamError, match="rows"):
-            fast_ica(np.zeros((3, 3)))
+        std = standardize(rng_mod.stream(0, 914).normal(size=(4, 3)), list("abc"))
+        with pytest.raises(LingamError, match="need more than d\\+1 = 4 rows, got 4"):
+            fast_ica(std)
 
 
 class TestCausalOrder:
@@ -270,15 +278,19 @@ class TestBootstrap:
         x1 = effect * x0 + rng.uniform(-1, 1, n)
         return np.column_stack([x0, x1])
 
+    # the intervals do not depend on the point estimate; only the sign
+    # stability, which these tests do not read, compares against it
+    _POINT = np.zeros((2, 2))
+
     def test_single_resample_degenerate_ci(self):
         x = self._pair_data(0)
-        boot = bootstrap_cis(x, n_resamples=1, seed=0)
+        boot = bootstrap_cis(x, self._POINT, n_resamples=1, config=LingamConfig(seed=0))
         np.testing.assert_array_equal(boot.ci_low, boot.ci_high)
         np.testing.assert_array_equal(boot.ci_low_raw, boot.ci_high_raw)
 
     def test_strong_effect_ci_excludes_zero(self):
         x = self._pair_data(1)
-        boot = bootstrap_cis(x, n_resamples=100, seed=1)
+        boot = bootstrap_cis(x, self._POINT, n_resamples=100, config=LingamConfig(seed=1))
         assert boot.ci_low_raw[0, 1] > 0.0
 
     def test_null_effect_ci_contains_zero(self):
@@ -286,7 +298,7 @@ class TestBootstrap:
         for seed in range(10):
             rng = rng_mod.stream(seed, 912)
             x = rng.uniform(-1, 1, size=(1500, 2))
-            boot = bootstrap_cis(x, n_resamples=60, seed=seed)
+            boot = bootstrap_cis(x, self._POINT, n_resamples=60, config=LingamConfig(seed=seed))
             contains += boot.ci_low_raw[0, 1] <= 0.0 <= boot.ci_high_raw[0, 1]
         assert contains >= 9
 
@@ -297,8 +309,8 @@ class TestBootstrap:
         rare = np.zeros(len(x))
         rare[:2] = 1.0
         boot = bootstrap_cis(
-            np.column_stack([x, rare]), n_resamples=100, seed=1,
-            config=LingamConfig(threads=1),
+            np.column_stack([x, rare]), np.zeros((3, 3)), n_resamples=100,
+            config=LingamConfig(seed=1, threads=1),
         )
         assert boot.n_flagged > 0
         assert boot.ci_low_raw[0, 1] > 0.0
@@ -307,15 +319,16 @@ class TestBootstrap:
         x = self._pair_data(1, n=200)
         collinear = np.column_stack([x[:, 0], 2.0 * x[:, 0]])
         with pytest.raises(LingamError, match="all 5 bootstrap resamples"):
-            bootstrap_cis(collinear, n_resamples=5, point_estimate=np.zeros((2, 2)))
+            bootstrap_cis(collinear, self._POINT, n_resamples=5, config=LingamConfig())
 
     def test_zero_resamples_rejected(self):
         with pytest.raises(LingamError, match="n_resamples >= 1"):
-            bootstrap_cis(self._pair_data(0, n=50), n_resamples=0)
+            bootstrap_cis(
+                self._pair_data(0, n=50), self._POINT, n_resamples=0, config=LingamConfig()
+            )
 
     @pytest.mark.parametrize("case", ["sem", "rare_column", "iteration_cap"])
-    def test_matches_serial_oracle(self, case):
-        config = LingamConfig(threads=1)
+    def test_matches_serial_oracle(self, case, monkeypatch):
         if case == "rare_column":
             x = self._pair_data(1)
             rare = np.zeros(len(x))
@@ -324,11 +337,13 @@ class TestBootstrap:
         else:
             x, n_resamples, seed = generate_sem_data(8, 60, seed=12).x, 60, 3
             if case == "iteration_cap":
-                config = LingamConfig(ica_max_iter=5, threads=1)
+                monkeypatch.setattr(lingam_mod, "ICA_MAX_ITER", 5)
         point = np.zeros((x.shape[1], x.shape[1]))
-        boot = bootstrap_cis(x, n_resamples, seed, config, point_estimate=point)
+        boot = bootstrap_cis(
+            x, point, n_resamples=n_resamples, config=LingamConfig(seed=seed, threads=1)
+        )
         oracle = lingam_bootstrap_serial(
-            x, n_resamples, seed, point, config.ica_tol, config.ica_max_iter
+            x, n_resamples, seed, point, lingam_mod.ICA_TOL, lingam_mod.ICA_MAX_ITER
         )
         for name in ("ci_low", "ci_high", "ci_low_raw", "ci_high_raw", "sign_stability"):
             np.testing.assert_allclose(getattr(boot, name), oracle[name], rtol=0, atol=1e-9)
@@ -348,13 +363,17 @@ class TestBootstrap:
 
     def test_needs_ten_rows(self):
         with pytest.raises(LingamError, match="n >= 10"):
-            bootstrap_cis(np.zeros((5, 2)), n_resamples=10)
+            bootstrap_cis(np.zeros((5, 2)), self._POINT, n_resamples=10, config=LingamConfig())
 
     def test_parallel_matches_serial(self):
         x = self._pair_data(2, n=600)
         assert 40 > _BLOCK_ELEMENTS // x.size  # the resamples span two blocks
-        serial = bootstrap_cis(x, n_resamples=40, seed=4, config=LingamConfig(threads=1))
-        forked = bootstrap_cis(x, n_resamples=40, seed=4, config=LingamConfig(threads=2))
+        serial = bootstrap_cis(
+            x, self._POINT, n_resamples=40, config=LingamConfig(seed=4, threads=1)
+        )
+        forked = bootstrap_cis(
+            x, self._POINT, n_resamples=40, config=LingamConfig(seed=4, threads=2)
+        )
         np.testing.assert_array_equal(serial.ci_low_raw, forked.ci_low_raw)
         np.testing.assert_array_equal(serial.ci_high_raw, forked.ci_high_raw)
         np.testing.assert_array_equal(serial.sign_stability, forked.sign_stability)
@@ -395,17 +414,24 @@ class TestDiscover:
             hits += ordered == ["std", "u"]
         assert hits >= 18
 
-    def test_small_group_gated(self):
-        scenario = generate_lingam_scenario(7)
-        group = _group_from_scenario(scenario)
+    def test_gate_admits_the_smallest_group_the_fit_accepts(self):
+        # the point fit needs more rows than variables plus one, the
+        # bootstrap ten; a group the gate lets through must get both
+        assert len(SCENARIO_FEATURES) == 5
+        rows = min_members(len(SCENARIO_FEATURES))
+        group = _group_from_scenario(generate_lingam_scenario(7, rows=rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = discover(group, LingamConfig(n_bootstrap=50, seed=7))
+        assert model.bootstrap.n_flagged < 50
         small = GroupDataset(
             group=group.group,
-            features=group.features[:5],
-            target=group.target[:5],
-            pump_indices=group.pump_indices[:5],
+            features=group.features[:-1],
+            target=group.target[:-1],
+            pump_indices=group.pump_indices[:-1],
             feature_names=group.feature_names,
         )
-        with pytest.raises(InsufficientGroupError):
+        with pytest.raises(InsufficientGroupError, match="9 members < 10 required for 5"):
             discover(small, LingamConfig(n_bootstrap=5))
 
     def test_constant_feature_dropped(self):

@@ -123,8 +123,6 @@ class TestConfigLoading:
             },
             "lingam": {
                 "n_bootstrap": ("11", "n_bootstrap", 11),
-                "ica_tol": ("1e-3", "ica_tol", 1e-3),
-                "ica_max_iter": ("50", "ica_max_iter", 50),
             },
         }
         assert {s: set(keys) for s, keys in values.items()} == _SECTION_KEYS
@@ -240,7 +238,12 @@ class TestRejectedBeforeAnyStage:
         "line, setting, message",
         [
             ("n_chains = 2", "n_chains = 0", "n_chains must be >= 1"),
-            ("n_bootstrap = 15", "n_bootstrap = 0", "invalid ICA or bootstrap settings"),
+            ("n_bootstrap = 15", "n_bootstrap = 0", "n_bootstrap must be >= 1, got 0"),
+            # the FastICA tolerance and iteration cap are constants, not settings
+            ("n_bootstrap = 15", "n_bootstrap = 15\nica_tol = 1e-4",
+             "unknown key 'ica_tol' in section [lingam]"),
+            ("n_bootstrap = 15", "n_bootstrap = 15\nica_max_iter = 200",
+             "unknown key 'ica_max_iter' in section [lingam]"),
             ("n_pumps = 25", "n_pumps = 25\nar_noise_sd = -0.5", "ar_noise_sd must be >= 0"),
             ("seed = 11", "seed = 11\nthreads = -2", "threads must be >= 0, got -2"),
         ],
@@ -627,7 +630,7 @@ class TestFeaturesCommand:
 
 class TestDiscoverSkipsSmallGroups:
     def test_small_group_recorded_not_fatal(self, tmp_path):
-        # 22 active features need 24 members; 25 pumps split two ways cannot
+        # 22 active features need 25 members; 25 pumps split two ways cannot
         # reach that in both groups, so at least one group is skipped (at
         # seed 11 the split is 11 / 14 and both are)
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
-"""The README's documented library entry points and subcommands exist."""
+"""The README's documented library entry points, subcommands and config
+defaults match the code."""
 
 import re
 from pathlib import Path
 
 from pumpcausal.cli import main
+from pumpcausal.pipeline import PipelineConfig, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +22,10 @@ def test_subcommands_are_the_cli_commands():
     text = README.read_text(encoding="utf-8")
     sentence = re.search(r"Subcommands: (.*?)\.\s", text, re.DOTALL).group(1)
     assert re.findall(r"`([^`]+)`", sentence) == list(main.commands)
+
+
+def test_config_example_holds_the_defaults(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    example = tmp_path / "readme.ini"
+    example.write_text(text.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert load_config(example) == PipelineConfig()
