@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -225,42 +225,41 @@ def ingest_timeseries(path: str | Path) -> list[CovariateSeries]:
 
 
 def build_transitions(
-    inspections: Inspections, covariates: Sequence[CovariateSeries] = ()
+    inspections: Inspections, covariates: Iterable[CovariateSeries] = ()
 ) -> TransitionBuild:
     """Turn consecutive inspection pairs into transition observations.
 
     One observation per interval whose start state is below the absorbing
-    state K; y = 1 iff the state increased (multi-step jumps included), the
-    interval covariate is the mean of each daily series over [start, end).
+    state K; y = 1 iff the state increased (multi-step jumps included).
+    With covariates, each pump has one daily series and the interval
+    covariate is its mean over [start, end); without, there is none.
     Intervals with state decreases (repairs) are dropped and counted.
     """
-    series_by_pump: dict[str, list[CovariateSeries]] = {}
+    series_by_pump: dict[str, CovariateSeries] = {}
     for series in covariates:
-        series_by_pump.setdefault(series.pump_id, []).append(series)
-    p_counts = {len(v) for v in series_by_pump.values()}
-    if len(p_counts) > 1:
-        raise DataError(f"pumps have differing covariate counts: {sorted(p_counts)}")
-    n_covariates = p_counts.pop() if p_counts else 0
+        if series_by_pump.setdefault(series.pump_id, series) is not series:
+            raise DataError(f"pump {series.pump_id} has more than one covariate series")
     pump_ids = inspections.pump_ids
-    lacking = [pid for pid in pump_ids if len(series_by_pump.get(pid, ())) != n_covariates]
-    if lacking:
-        raise DataError(f"pump {lacking[0]}: no covariate series")
+    if series_by_pump:
+        lacking = [pid for pid in pump_ids if pid not in series_by_pump]
+        if lacking:
+            raise DataError(f"pump {lacking[0]}: no covariate series")
 
     pump, day, state = inspections.pump, inspections.day, inspections.state
     interval = pump[1:] == pump[:-1]  # rows r and r + 1 are one pump's inspections
     absorbing = interval & (state[:-1] >= N_STATES)
     decrease = interval & ~absorbing & (state[1:] < state[:-1])
     (start,) = np.nonzero(interval & ~absorbing & ~decrease)
-    x = [
-        [s.window(a, b).mean() for s in series_by_pump.get(pump_ids[p], ())]
+    means = [
+        series_by_pump[pump_ids[p]].window(a, b).mean()
         for p, a, b in zip(pump[start].tolist(), day[start].tolist(), day[start + 1].tolist())
-    ]
+    ] if series_by_pump else []
     dataset = Dataset(
         y=state[start + 1] > state[start],
         dt=(day[start + 1] - day[start]).astype(float),
         k=state[start] - 1,
         pump=pump[start],
-        x=np.array(x, dtype=float).reshape(len(start), n_covariates),
+        x=np.array(means, dtype=float).reshape(len(start), 1 if series_by_pump else 0),
         n_pumps=len(pump_ids),
         n_states=N_STATES,
     )

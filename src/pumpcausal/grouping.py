@@ -29,18 +29,15 @@ class GroupDataset:
     group: Group
     features: np.ndarray  # (count, n_features)
     target: np.ndarray  # (count,) posterior-mean random effects
-    pump_indices: tuple[int, ...]
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        if not (
-            self.features.shape[0] == len(self.target) == len(self.pump_indices)
-        ):
-            raise DataError("group feature rows, targets, and members disagree")
+        if self.features.shape[0] != len(self.target):
+            raise DataError("group feature rows and targets disagree")
 
     @property
     def count(self) -> int:
-        return len(self.pump_indices)
+        return len(self.target)
 
 
 def sign_groups(u_mean: np.ndarray) -> np.ndarray:
@@ -80,7 +77,6 @@ def group_datasets(
                 group=group,
                 features=features.values[rows],
                 target=u_mean[rows],
-                pump_indices=tuple(rows.tolist()),
                 feature_names=features.feature_names,
             )
         )

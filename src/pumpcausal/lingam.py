@@ -16,6 +16,7 @@ effect i->j = standardized effect * sd_j / sd_i).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +33,10 @@ from .tables import write_table
 CONSTANT_SD_TOL = 1e-12
 COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
 # a column is dependent when its residual on the earlier kept columns has
-# norm below DEPENDENT_TOL times its own
-DEPENDENT_TOL = 1e-6
+# norm below DEPENDENT_TOL times its own; two kept columns with |corr| = r
+# leave the later a ratio of at most sqrt(1 - r^2), so this bound drops
+# every column that would form a collinear pair with an earlier one
+DEPENDENT_TOL = math.sqrt(2.0 * COLLINEAR_TOL)
 TARGET_NAME = "u"
 # bootstrap resamples run in blocks of about this many stacked data elements
 # (resamples x rows x columns); the size depends on the data shape only
@@ -86,7 +89,8 @@ def _dependent_columns(z: np.ndarray) -> np.ndarray:
 
 def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     """Standardize columns, dropping with a warning each column that is
-    constant or an exact linear combination of earlier columns."""
+    constant or a linear combination of earlier columns, exact or to within
+    DEPENDENT_TOL."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise LingamError("expected a 2-d data matrix")
@@ -107,8 +111,8 @@ def standardize(x: np.ndarray, names: Sequence[str]) -> StandardizedData:
     linear = tuple(str(names[i]) for i in kept[~independent])
     if linear:
         warnings.warn(
-            "dropping linearly dependent columns (exact combinations of "
-            f"earlier columns): {', '.join(linear)}"
+            "dropping linearly dependent columns (combinations of earlier "
+            f"columns, exact or near): {', '.join(linear)}"
         )
     kept = kept[independent]
     return StandardizedData(
@@ -145,17 +149,6 @@ def _collinear_pairs(cov: np.ndarray) -> np.ndarray:
     """Mask of the pairs i < j with |corr| > 1 - COLLINEAR_TOL, over the last
     two axes of a stack of correlation matrices."""
     return np.triu(np.abs(cov) > 1.0 - COLLINEAR_TOL, 1)
-
-
-def _check_collinear(z: np.ndarray, names: Sequence[str]) -> None:
-    corr = z.T @ z / z.shape[0]
-    pairs = np.argwhere(_collinear_pairs(corr))
-    if len(pairs):
-        i, j = pairs[0]
-        raise LingamError(
-            f"columns '{names[i]}' and '{names[j]}' are collinear "
-            f"(|corr| = {abs(corr[i, j]):.10f})"
-        )
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -259,7 +252,6 @@ def fast_ica(data: StandardizedData, config: LingamConfig = LingamConfig()) -> I
     n, d = x.shape
     if n <= d + 1:
         raise LingamError(f"need more than d+1 = {d + 1} rows, got {n}")
-    _check_collinear(x, data.names)
     zw, whiten, ok = _whiten_stack(x[None])
     if not ok[0]:
         raise LingamError("singular covariance matrix (collinear column set)")

@@ -229,8 +229,7 @@ def load_config(
     }
     settings = fields[PipelineConfig]
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    synth = SynthConfig(**fields[SynthConfig], seed=settings.get("seed", PipelineConfig.seed))
-    return PipelineConfig(**settings, synth=synth)
+    return PipelineConfig(**settings, synth=SynthConfig(**fields[SynthConfig]))
 
 
 @contextmanager
@@ -254,7 +253,7 @@ def run_synth(cfg: PipelineConfig) -> None:
     with _stage_guard("synth"):
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        synthesis = generate_hazard_data(cfg.synth)
+        synthesis = generate_hazard_data(cfg.synth, cfg.seed)
         data_mod.write_inspections_csv(synthesis.inspections, cfg.path("inspections"))
         data_mod.write_timeseries_csv(synthesis.covariates, cfg.path("timeseries"))
         synthesis.truth.write(cfg.path("ground_truth"))

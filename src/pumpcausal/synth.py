@@ -7,9 +7,8 @@ causal-discovery recovery, including a two-group scenario with a strong
 planted feature-to-target effect in one group and near-zero effects in the
 other.
 
-All draws come from PCG64 streams derived from a seed (``SynthConfig.seed``,
-or a scenario's ``seed`` argument; see ``rng``), so generated datasets are
-bit-reproducible.
+All draws come from PCG64 streams derived from each generator's ``seed``
+argument (see ``rng``), so generated datasets are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -53,13 +52,12 @@ class SynthConfig:
     n_pumps: int = 30
     sigma_u: float = 1.0
     log_lambda0: tuple[float, ...] | None = None  # None -> flat default per state
-    beta: tuple[float, ...] = ()
+    beta: tuple[float, ...] = ()  # at most one: the series' effect on the hazard
     study_days: int = 650
     interval_min: int = 7
     interval_max: int = 173  # uniform integer intervals, median 90 days
     ar_coeff: float = 0.8
     ar_noise_sd: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_pumps < 1:
@@ -72,6 +70,10 @@ class SynthConfig:
             raise ConfigError("study_days must exceed the maximum interval")
         if self.log_lambda0 is not None and len(self.log_lambda0) != N_STATES:
             raise ConfigError("log_lambda0 must have one entry per state")
+        if len(self.beta) > 1:
+            raise ConfigError(
+                f"beta holds at most one coefficient (one series per pump), got {len(self.beta)}"
+            )
         if not 0 <= abs(self.ar_coeff) < 1:
             raise ConfigError("ar_coeff must satisfy |ar_coeff| < 1")
         if self.ar_noise_sd < 0:
@@ -107,25 +109,26 @@ class HazardSynthesis:
 
 
 def _ar1_series(rng: np.random.Generator, days: int, coeff: float, sd: float) -> np.ndarray:
-    values = np.empty(days)
-    stationary_sd = sd / math.sqrt(1.0 - coeff * coeff) if coeff else sd
-    values[0] = rng.normal(0.0, stationary_sd)
+    """A stationary AR(1) series: values[t] = coeff * values[t - 1] + noise."""
+    # imported here: scipy.signal takes longer to import than the package
+    # itself, and only synthetic data needs it
+    from scipy.signal import lfilter
+
+    first = rng.normal(0.0, sd / math.sqrt(1.0 - coeff * coeff))
     noise = rng.normal(0.0, sd, size=days - 1)
-    for t in range(1, days):
-        values[t] = coeff * values[t - 1] + noise[t - 1]
-    return values
+    rest = lfilter([1.0], [1.0, -coeff], noise, zi=[coeff * first])[0]
+    return np.concatenate([[first], rest])
 
 
-def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
+def generate_hazard_data(config: SynthConfig, seed: int) -> HazardSynthesis:
     """Simulate inspections by drawing each interval's transition from the
     model's own Bernoulli(1 - exp(-lambda*dt)) probability.
 
     Every pump gets one daily measurement series for feature extraction;
-    when len(beta) = p > 0 the first p series also drive the hazard through
-    their interval means.
+    when ``beta`` holds a coefficient the series also drives the hazard
+    through its interval means.
     """
-    rng = rng_mod.stream(config.seed, rng_mod.KEY_SYNTH)
-    n_series = max(len(config.beta), 1)
+    rng = rng_mod.stream(seed, rng_mod.KEY_SYNTH)
     beta = np.asarray(config.beta, dtype=float)
     if config.log_lambda0 is not None:
         log_lambda0 = np.asarray(config.log_lambda0, dtype=float)
@@ -135,16 +138,10 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
 
     rows: list[tuple[int, int, int]] = []  # (pump, day, state)
     covariates: list[CovariateSeries] = []
-    hazard_covariates: list[CovariateSeries] = []
     pump_ids = tuple(f"P{i:03d}" for i in range(config.n_pumps))
     for i, pump_id in enumerate(pump_ids):
-        series = [
-            _ar1_series(rng, config.study_days, config.ar_coeff, config.ar_noise_sd)
-            for _ in range(n_series)
-        ]
-        pump_series = [CovariateSeries(pump_id, 0, values) for values in series]
-        covariates.extend(pump_series)
-        hazard_covariates.extend(pump_series[: len(beta)])
+        values = _ar1_series(rng, config.study_days, config.ar_coeff, config.ar_noise_sd)
+        covariates.append(CovariateSeries(pump_id, 0, values))
         day = 0
         state = 1
         rows.append((i, 0, 1))
@@ -156,8 +153,7 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
             if state < N_STATES:
                 eta = log_lambda0[state - 1] + u_true[i]
                 if len(beta):
-                    means = [s[day:next_day].mean() for s in series[: len(beta)]]
-                    eta += float(beta @ np.asarray(means))
+                    eta += float(beta[0] * values[day:next_day].mean())
                 prob = -math.expm1(-math.exp(eta) * step)
                 if rng.random() < prob:
                     state += 1
@@ -165,7 +161,7 @@ def generate_hazard_data(config: SynthConfig) -> HazardSynthesis:
             day = next_day
 
     inspections = Inspections(pump_ids, *np.array(rows, dtype=np.int64).T)
-    build = build_transitions(inspections, hazard_covariates)
+    build = build_transitions(inspections, covariates if len(beta) else ())
     truth = GroundTruth(u_true=u_true, log_lambda0=log_lambda0, beta=beta, sigma_u=config.sigma_u)
     return HazardSynthesis(build.dataset, inspections, tuple(covariates), truth, build)
 

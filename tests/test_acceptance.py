@@ -144,7 +144,7 @@ def test_criterion_2_sampler_calibration():
 
 
 def _fit_synthetic(seed: int):
-    synthesis = generate_hazard_data(SynthConfig(seed=seed))
+    synthesis = generate_hazard_data(SynthConfig(), seed)
     layout = ParamLayout.for_dataset(synthesis.dataset)
     target = make_logp_and_grad(synthesis.dataset, layout)
     samples = sample(
@@ -282,7 +282,6 @@ def _discover_two_groups(seed: int, n_bootstrap: int = 200):
             group=group,
             features=scenario.features.values,
             target=scenario.target,
-            pump_indices=tuple(range(len(scenario.target))),
             feature_names=scenario.features.feature_names,
         )
         with warnings.catch_warnings():

@@ -17,7 +17,6 @@ from pumpcausal.data import (
     write_transitions_csv,
 )
 from pumpcausal.errors import DataError
-from pumpcausal.synth import SynthConfig, generate_hazard_data
 
 
 def _write(tmp_path, name, text):
@@ -143,11 +142,12 @@ class TestIngestTimeseries:
 
 class TestWriteTimeseries:
     def test_repeated_pump_rejected(self, tmp_path):
-        # two hazard covariates give each pump two series
-        synthesis = generate_hazard_data(SynthConfig(n_pumps=3, beta=(0.5, -0.5)))
+        series = [
+            CovariateSeries(pid, 0, np.arange(5.0)) for pid in ("P000", "P000", "P001")
+        ]
         path = tmp_path / "timeseries.csv"
         with pytest.raises(DataError, match="pump P000 has 2 series"):
-            write_timeseries_csv(synthesis.covariates, path)
+            write_timeseries_csv(series, path)
         assert not path.exists()
 
     def test_write_ingest_round_trip(self, tmp_path):
@@ -197,8 +197,9 @@ def _only_row(build):
 class TestBuildTransitions:
     def test_no_change_interval(self):
         build = build_transitions(_inspections(("P", 0, 1), ("P", 90, 1)))
-        state, dt, y, _ = _only_row(build)
+        state, dt, y, x = _only_row(build)
         assert (state, dt, y) == (1, 90.0, 0)
+        assert x.shape == (0,)  # no series, no covariate
 
     def test_single_step(self):
         build = build_transitions(_inspections(("P", 0, 1), ("P", 90, 2)))
@@ -235,9 +236,17 @@ class TestBuildTransitions:
             build_transitions(_inspections(("P", 0, 1), ("P", 4, 1)), series)
 
     def test_missing_covariate_series(self):
-        series = [CovariateSeries("Q", 0, np.arange(10.0))]
-        with pytest.raises(DataError):
-            build_transitions(_inspections(("P", 0, 1), ("P", 4, 1)), series)
+        # a series of a pump without inspections does not stand in for B's
+        records = _inspections(("A", 0, 1), ("A", 4, 1), ("B", 0, 1), ("B", 4, 1))
+        series = [CovariateSeries(pid, 0, np.arange(10.0)) for pid in ("A", "Q")]
+        with pytest.raises(DataError, match="pump B: no covariate series"):
+            build_transitions(records, series)
+
+    def test_second_covariate_series(self):
+        records = _inspections(("A", 0, 1), ("A", 4, 1), ("B", 0, 1), ("B", 4, 1))
+        series = [CovariateSeries(pid, 0, np.arange(10.0)) for pid in ("A", "B", "B")]
+        with pytest.raises(DataError, match="pump B has more than one covariate series"):
+            build_transitions(records, series)
 
     def test_count_conservation(self):
         records = _inspections(

@@ -56,10 +56,15 @@ class TestGroupDatasets:
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)
-        positive, negative = _split(_matrix(25), rng.normal(0, 2, 25))
+        matrix, values = _matrix(25), rng.normal(0, 2, 25)
+        positive, negative = _split(matrix, values)
         assert positive.count + negative.count == 25
-        assert set(positive.pump_indices) | set(negative.pump_indices) == set(range(25))
-        assert set(positive.pump_indices) & set(negative.pump_indices) == set()
+        # every feature row and target lands in exactly one group
+        rows = np.vstack([positive.features, negative.features])
+        targets = np.concatenate([positive.target, negative.target])
+        order = np.argsort(targets)
+        np.testing.assert_array_equal(targets[order], np.sort(values))
+        np.testing.assert_array_equal(rows[order], matrix.values[np.argsort(values)])
 
     def test_rows_follow_indices(self):
         matrix = _matrix(6)
@@ -74,8 +79,10 @@ class TestGroupDatasets:
         matrix = _matrix(3)
         labels = np.array([Group.NEGATIVE, Group.POSITIVE, Group.POSITIVE], dtype=object)
         positive, negative = group_datasets(matrix, np.array([1.0, 2.0, 3.0]), labels)
-        assert positive.pump_indices == (1, 2)
-        assert negative.pump_indices == (0,)
+        np.testing.assert_array_equal(positive.target, [2.0, 3.0])
+        np.testing.assert_array_equal(positive.features, matrix.values[[1, 2]])
+        np.testing.assert_array_equal(negative.target, [1.0])
+        np.testing.assert_array_equal(negative.features, matrix.values[[0]])
 
     def test_lengths_must_match_the_matrix(self):
         u_mean = np.array([1.0, -1.0])

@@ -138,16 +138,18 @@ class TestFastIca:
         assert isinstance(result.converged, bool)
         assert np.all(np.isfinite(result.demixing))
 
-    def test_collinear_pair_named(self):
-        # nearly, not exactly, a multiple: standardize keeps the column
+    def test_near_multiple_dropped_before_the_fit(self):
+        # nearly, not exactly, a multiple: standardize drops it with its
+        # reason, so no kept pair is collinear and FastICA runs
         rng = rng_mod.stream(0, 905)
         base = rng.uniform(-1, 1, 500)
         near = 2.0 * base + 1e-5 * rng.uniform(-1, 1, 500)
         x = np.column_stack([base, near, rng.uniform(-1, 1, 500)])
-        std = standardize(x, ["base", "near", "other"])
-        assert std.dropped == {}
-        with pytest.raises(LingamError, match="'base' and 'near'"):
-            fast_ica(std)
+        with pytest.warns(UserWarning, match="linearly dependent columns.*near"):
+            std = standardize(x, ["base", "near", "other"])
+        assert std.dropped == {"near": "linear combination of earlier columns"}
+        assert std.names == ("base", "other")
+        assert np.all(np.isfinite(fast_ica(std).demixing))
 
     def test_too_few_rows(self):
         std = standardize(rng_mod.stream(0, 914).normal(size=(4, 3)), list("abc"))
@@ -384,7 +386,6 @@ def _group_from_scenario(scenario, group=Group.NEGATIVE):
         group=group,
         features=scenario.features.values,
         target=scenario.target,
-        pump_indices=tuple(range(len(scenario.target))),
         feature_names=scenario.features.feature_names,
     )
 
@@ -428,7 +429,6 @@ class TestDiscover:
             group=group.group,
             features=group.features[:-1],
             target=group.target[:-1],
-            pump_indices=group.pump_indices[:-1],
             feature_names=group.feature_names,
         )
         with pytest.raises(InsufficientGroupError, match="9 members < 10 required for 5"):
@@ -441,13 +441,31 @@ class TestDiscover:
             group=group.group,
             features=np.column_stack([group.features, np.ones(group.count)]),
             target=group.target,
-            pump_indices=group.pump_indices,
             feature_names=(*group.feature_names, "flatline"),
         )
         with pytest.warns(UserWarning, match="flatline"):
             model = discover(doctored, LingamConfig(n_bootstrap=5, seed=8))
         assert model.dropped_columns == {"flatline": "constant"}
         assert "flatline" not in model.variable_names
+
+    @pytest.mark.parametrize("eps, dropped", [(1e-5, True), (1e-4, True), (1e-3, False)])
+    def test_near_copy_of_a_feature(self, eps, dropped):
+        # a copy of feature 'a' with relative noise eps is dropped or kept,
+        # and discovery runs either way
+        rng = rng_mod.stream(0, 906)
+        x = rng.uniform(-1, 1, size=(60, 4))
+        near = x[:, 0] * (1.0 + eps * rng.uniform(-1, 1, 60))
+        group = GroupDataset(
+            group=Group.NEGATIVE,
+            features=np.column_stack([x, near]),
+            target=rng.uniform(-1, 1, 60),
+            feature_names=("a", "b", "c", "d", "near"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = discover(group, LingamConfig(n_bootstrap=5, seed=2, threads=1))
+        assert ("near" in model.dropped_columns) is dropped
+        assert ("near" in model.variable_names) is not dropped
 
     def test_constant_target_errors(self):
         scenario = generate_lingam_scenario(9, rows=200)
@@ -456,7 +474,6 @@ class TestDiscover:
             group=group.group,
             features=group.features,
             target=np.zeros(group.count),
-            pump_indices=group.pump_indices,
             feature_names=group.feature_names,
         )
         with warnings.catch_warnings():
@@ -471,7 +488,6 @@ class TestDiscover:
             group=group.group,
             features=group.features,
             target=group.features @ np.arange(1.0, group.features.shape[1] + 1),
-            pump_indices=group.pump_indices,
             feature_names=group.feature_names,
         )
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Pipeline stages, caching, config parsing, and CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -19,7 +20,13 @@ from pumpcausal.nuts import (
     diagnostic_flags,
     write_diagnostics_json,
 )
-from pumpcausal.pipeline import _SECTION_KEYS, PipelineConfig, build_report, load_config
+from pumpcausal.pipeline import (
+    _SECTION_KEYS,
+    PipelineConfig,
+    build_report,
+    load_config,
+    run_synth,
+)
 from pumpcausal.rng import worker_count
 
 SMALL_CONFIG = """
@@ -139,10 +146,20 @@ class TestConfigLoading:
             for key, (_, name, expected) in keys.items():
                 assert getattr(owner, name) == expected, (section, key)
                 assert type(getattr(owner, name)) is type(expected), (section, key)
-        assert cfg.synth.seed == 5
         blank = tmp_path / "blank.ini"
         blank.write_text("[pipeline]\nthreads =\n[features]\nwindow_end =\n")
         assert load_config(blank) == PipelineConfig()  # blank = default
+
+    def test_seed_from_file_equals_seed_in_code(self, tmp_path):
+        # one seed drives the run, whether set in a file or in code
+        path = tmp_path / "seed.ini"
+        path.write_text("[pipeline]\nseed = 5\n")
+        from_file = load_config(path)
+        assert from_file == PipelineConfig(seed=5)
+        for name, cfg in (("file", from_file), ("code", PipelineConfig(seed=5))):
+            run_synth(dataclasses.replace(cfg, out_dir=tmp_path / name))
+        written = {(tmp_path / name / "inspections.csv").read_bytes() for name in ("file", "code")}
+        assert len(written) == 1
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -218,8 +235,7 @@ class TestConfigLoading:
         assert cfg.seed == 99
         assert cfg.out_dir == tmp_path / "elsewhere"
         assert cfg.threads == 4
-        assert cfg.synth.seed == 99  # seed propagates into stage configs
-        assert cfg.sampler_config().seed == 99
+        assert cfg.sampler_config().seed == 99  # seed propagates into stage configs
         assert cfg.lingam_config().seed == 99
 
     def test_files_source_requires_existing_paths(self, tmp_path):

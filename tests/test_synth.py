@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ModelParams, log_likelihood
+import pumpcausal.rng as rng_mod
+from oracles import ModelParams, ar1_series_loop, log_likelihood
 from pumpcausal.data import write_inspections_csv, write_timeseries_csv
 from pumpcausal.errors import ConfigError
 from pumpcausal.grouping import Group
 from pumpcausal.synth import (
     SynthConfig,
+    _ar1_series,
     generate_hazard_data,
     generate_lingam_scenario,
     generate_sem_data,
@@ -31,11 +33,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ar_noise_sd"):
             SynthConfig(ar_noise_sd=-0.5)
 
+    def test_second_beta_rejected(self):
+        # one series per pump, so at most one hazard coefficient
+        with pytest.raises(ConfigError, match="beta holds at most one coefficient"):
+            SynthConfig(beta=(0.5, -0.5))
+
+
+class TestAr1Series:
+    @pytest.mark.parametrize("coeff", [0.8, 0.0, -0.5, 0.99])
+    def test_equals_the_daily_loop(self, coeff):
+        for seed in range(5):
+            fast = _ar1_series(rng_mod.stream(seed, 77), 400, coeff, 0.5)
+            loop = ar1_series_loop(rng_mod.stream(seed, 77), 400, coeff, 0.5)
+            np.testing.assert_array_equal(fast, loop)
+
 
 class TestHazardData:
     def test_seed_determinism(self, tmp_path):
-        a = generate_hazard_data(SynthConfig(seed=4, n_pumps=10))
-        b = generate_hazard_data(SynthConfig(seed=4, n_pumps=10))
+        a = generate_hazard_data(SynthConfig(n_pumps=10), 4)
+        b = generate_hazard_data(SynthConfig(n_pumps=10), 4)
         for name in ("pump", "day", "state"):
             assert np.array_equal(getattr(a.inspections, name), getattr(b.inspections, name))
         for name in ("y", "dt", "k", "pump", "x"):
@@ -54,10 +70,10 @@ class TestHazardData:
     def test_shared_hazard_rate_matches_binomial(self):
         # sigma_u = 0, beta = (): every interval is Bernoulli(1 - exp(-l0*dt))
         config = SynthConfig(
-            seed=1, n_pumps=200, sigma_u=0.0,
+            n_pumps=200, sigma_u=0.0,
             log_lambda0=(-5.0,) * 8, interval_min=90, interval_max=90,
         )
-        synthesis = generate_hazard_data(config)
+        synthesis = generate_hazard_data(config, 1)
         y = synthesis.dataset.y
         prob = -math.expm1(-math.exp(-5.0) * 90.0)
         n = len(y)
@@ -65,13 +81,13 @@ class TestHazardData:
         assert abs(y.mean() - prob) < 3.0 * sd
 
     def test_vanishing_hazard_no_transitions(self):
-        config = SynthConfig(seed=2, n_pumps=20, log_lambda0=(-20.0,) * 8)
-        synthesis = generate_hazard_data(config)
+        config = SynthConfig(n_pumps=20, log_lambda0=(-20.0,) * 8)
+        synthesis = generate_hazard_data(config, 2)
         assert synthesis.dataset.y.sum() == 0
 
     def test_states_capped_and_consistent(self):
-        config = SynthConfig(seed=3, n_pumps=30, log_lambda0=(-3.0,) * 8)
-        synthesis = generate_hazard_data(config)
+        config = SynthConfig(n_pumps=30, log_lambda0=(-3.0,) * 8)
+        synthesis = generate_hazard_data(config, 3)
         states = synthesis.inspections.state
         assert max(states) <= 8
         assert min(states) >= 1
@@ -79,21 +95,21 @@ class TestHazardData:
         assert synthesis.build.dropped_decrease == 0
 
     def test_covariates_cover_study(self):
-        config = SynthConfig(seed=5, n_pumps=3, study_days=400)
-        synthesis = generate_hazard_data(config)
+        config = SynthConfig(n_pumps=3, study_days=400)
+        synthesis = generate_hazard_data(config, 5)
         assert len(synthesis.covariates) == 3
         for series in synthesis.covariates:
             assert len(series.values) == 400
 
     def test_beta_covariates_enter_hazard(self):
-        config = SynthConfig(seed=6, n_pumps=40, beta=(1.5,))
-        synthesis = generate_hazard_data(config)
+        config = SynthConfig(n_pumps=40, beta=(1.5,))
+        synthesis = generate_hazard_data(config, 6)
         assert synthesis.dataset.n_covariates == 1
         assert len(synthesis.covariates) == 40
 
     def test_truth_beats_random_perturbations(self):
-        config = SynthConfig(seed=7, n_pumps=30)
-        synthesis = generate_hazard_data(config)
+        config = SynthConfig(n_pumps=30)
+        synthesis = generate_hazard_data(config, 7)
         truth = synthesis.truth
         params = ModelParams(
             log_lambda0=truth.log_lambda0,
