@@ -109,15 +109,12 @@ class HazardSynthesis:
 
 
 def _ar1_series(rng: np.random.Generator, days: int, coeff: float, sd: float) -> np.ndarray:
-    """A stationary AR(1) series: values[t] = coeff * values[t - 1] + noise."""
-    # imported here: scipy.signal takes longer to import than the package
-    # itself, and only synthetic data needs it
-    from scipy.signal import lfilter
-
-    first = rng.normal(0.0, sd / math.sqrt(1.0 - coeff * coeff))
+    values = np.empty(days)
+    values[0] = rng.normal(0.0, sd / math.sqrt(1.0 - coeff * coeff))
     noise = rng.normal(0.0, sd, size=days - 1)
-    rest = lfilter([1.0], [1.0, -coeff], noise, zi=[coeff * first])[0]
-    return np.concatenate([[first], rest])
+    for t in range(1, days):
+        values[t] = coeff * values[t - 1] + noise[t - 1]
+    return values
 
 
 def generate_hazard_data(config: SynthConfig, seed: int) -> HazardSynthesis:

@@ -94,18 +94,6 @@ def ols_normal_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, x.T @ y)
 
 
-def ar1_series_loop(rng: np.random.Generator, days: int, coeff: float, sd: float) -> np.ndarray:
-    """Stationary AR(1) series, one day per loop step, drawing the same
-    numbers in the same order as ``synth._ar1_series``."""
-    values = np.empty(days)
-    stationary_sd = sd / math.sqrt(1.0 - coeff * coeff) if coeff else sd
-    values[0] = rng.normal(0.0, stationary_sd)
-    noise = rng.normal(0.0, sd, size=days - 1)
-    for t in range(1, days):
-        values[t] = coeff * values[t - 1] + noise[t - 1]
-    return values
-
-
 def finite_difference_gradient(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function."""
     theta = np.asarray(theta, float)

@@ -70,6 +70,20 @@ class TestStandardize:
         kept = x[:, [0, 1, 3]]
         np.testing.assert_allclose(std.x, (kept - kept.mean(axis=0)) / kept.std(axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("eps, dropped", [(1e-5, True), (1e-3, False)])
+    def test_near_combination_of_several_columns(self, eps, dropped):
+        # a - b plus relative noise eps: no single pair is collinear, and
+        # the column is dropped when its residual ratio is under DEPENDENT_TOL
+        rng = rng_mod.stream(0, 907)
+        a, b, c = rng.uniform(-1, 1, size=(3, 60))
+        near = (a - b) * (1.0 + eps * rng.uniform(-1, 1, 60))
+        x = np.column_stack([a, b, near, c])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            std = standardize(x, ["a", "b", "near", "c"])
+        assert ("near" in std.dropped) is dropped
+        assert std.names == (("a", "b", "c") if dropped else ("a", "b", "near", "c"))
+
     def test_independent_columns_all_kept(self):
         x = np.random.default_rng(2).normal(size=(30, 20))
         with warnings.catch_warnings():
@@ -466,6 +480,23 @@ class TestDiscover:
             model = discover(group, LingamConfig(n_bootstrap=5, seed=2, threads=1))
         assert ("near" in model.dropped_columns) is dropped
         assert ("near" in model.variable_names) is not dropped
+
+    def test_target_near_combination_of_features_errors(self):
+        # a target within relative noise 1e-5 of a + b is dependent on the
+        # features, so the group is rejected rather than fitted
+        rng = rng_mod.stream(0, 908)
+        x = rng.uniform(-1, 1, size=(60, 4))
+        target = (x[:, 0] + x[:, 1]) * (1.0 + 1e-5 * rng.uniform(-1, 1, 60))
+        group = GroupDataset(
+            group=Group.NEGATIVE,
+            features=x,
+            target=target,
+            feature_names=("a", "b", "c", "d"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(LingamError, match="target variable is constant or a linear"):
+                discover(group, LingamConfig(n_bootstrap=5, seed=2, threads=1))
 
     def test_constant_target_errors(self):
         scenario = generate_lingam_scenario(9, rows=200)

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-import pumpcausal.rng as rng_mod
-from oracles import ModelParams, ar1_series_loop, log_likelihood
+from oracles import ModelParams, log_likelihood
 from pumpcausal.data import write_inspections_csv, write_timeseries_csv
 from pumpcausal.errors import ConfigError
 from pumpcausal.grouping import Group
 from pumpcausal.synth import (
     SynthConfig,
-    _ar1_series,
     generate_hazard_data,
     generate_lingam_scenario,
     generate_sem_data,
@@ -37,15 +35,6 @@ class TestConfig:
         # one series per pump, so at most one hazard coefficient
         with pytest.raises(ConfigError, match="beta holds at most one coefficient"):
             SynthConfig(beta=(0.5, -0.5))
-
-
-class TestAr1Series:
-    @pytest.mark.parametrize("coeff", [0.8, 0.0, -0.5, 0.99])
-    def test_equals_the_daily_loop(self, coeff):
-        for seed in range(5):
-            fast = _ar1_series(rng_mod.stream(seed, 77), 400, coeff, 0.5)
-            loop = ar1_series_loop(rng_mod.stream(seed, 77), 400, coeff, 0.5)
-            np.testing.assert_array_equal(fast, loop)
 
 
 class TestHazardData:
