@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import rng as rng_mod
 from .errors import InsufficientGroupError, LingamError
@@ -269,6 +268,121 @@ def fast_ica(data: StandardizedData, config: LingamConfig = LingamConfig()) -> I
     )
 
 
+def _assign(weight: np.ndarray) -> np.ndarray:
+    """Row matched to each column by a maximum-total-weight assignment, for
+    each matrix of a (B, d, d) stack of finite weights: (B, d).
+
+    Shortest augmenting paths with dual potentials (Crouse 2016, IEEE TAES
+    52(4)) on the cost -weight, the matrices in lock-step.  The duals start
+    feasible at the column minima, which makes tight the greedy matching of
+    each column to its cheapest row where that row is still free; each
+    round then augments from one free row of every matrix that has one,
+    scanning one column per step (Dijkstra on the reduced costs) until it
+    reaches an unmatched column.  The assignment is exact: on a unique
+    optimum it is that optimum, on ties one of equal total weight.
+    """
+    size, d, _ = weight.shape
+    cost = -weight
+    b = np.arange(size)
+    bd = b * d
+    v = cost.min(axis=1)
+    u = np.zeros((size, d))
+    row4col = np.full((size, d), -1)
+    col4row = np.full((size, d), -1)
+    cheapest = cost.argmin(axis=1)
+    for j in range(d):
+        i = cheapest[:, j]
+        take = col4row[b, i] < 0
+        row4col[take, j] = i[take]
+        col4row[take, i[take]] = j
+    # flat per-column state carries d trash slots past the end: a matrix
+    # whose path is found scans those, and its row pointer stays among the
+    # infinite trash rows of the reduced costs
+    trash = size * d
+    inf_rows = np.full((d, d), np.inf)
+    while True:
+        free = col4row < 0
+        active = free.any(axis=1)
+        if not active.any():
+            return row4col
+        cur = np.argmax(free, axis=1)
+        reduced = np.concatenate(
+            [(cost - u[:, :, None] - v[:, None, :]).reshape(-1, d), inf_rows]
+        )
+        r4c_flat = np.concatenate(
+            [np.where(row4col < 0, trash, bd[:, None] + row4col).ravel(), np.full(d, trash)]
+        )
+        dist_flat = np.full(trash + d, np.inf)  # path length to each column
+        dist = dist_flat[:trash].reshape(size, d)
+        scanned_flat = np.zeros(trash + d)  # inf once a column is scanned
+        scanned = scanned_flat[:trash].reshape(size, d)
+        path = np.repeat(bd, d).reshape(size, d)  # flat row each column is reached from
+        min_val = np.zeros(size)
+        base = np.where(active, bd, trash)
+        rowf = base + cur
+        while True:
+            r = reduced[rowf]
+            r += min_val[:, None]
+            r += scanned
+            better = r < dist
+            np.minimum(dist, r, out=dist)
+            np.copyto(path, rowf[:, None], where=better)
+            jf = base + (dist + scanned).argmin(axis=1)
+            min_val = dist_flat[jf]
+            scanned_flat[jf] = np.inf
+            rowf = r4c_flat[jf]
+            if rowf.min() >= trash:
+                break
+            base = np.where(rowf < trash, bd, trash)
+        # dual update: the scanned columns and the rows matched to them
+        sc = scanned == np.inf
+        sink = np.argmax(sc & (row4col < 0), axis=1)
+        min_val = np.where(active, dist[b, sink], 0.0)
+        gap = np.where(sc, min_val[:, None] - dist, 0.0)
+        mb, mj = np.nonzero(sc & (row4col >= 0))
+        u[mb, row4col[mb, mj]] += gap[mb, mj]
+        u[b, cur] += min_val
+        v -= gap
+        # augment along the path back from the sink, the unmatched scanned column
+        path -= bd[:, None]
+        j = sink
+        live = active
+        while live.any():
+            i = path[b, j]
+            row4col[b[live], j[live]] = i[live]
+            before = col4row[b, i]
+            col4row[b[live], i[live]] = j[live]
+            live &= i != cur
+            j = np.where(live, before, j)
+
+
+def _order_stack(demixing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Causal orders of a (B, d, d) stack of finite demixing matrices: the
+    (B, d) orders, and a mask of the matrices that keep a nonzero diagonal
+    after row matching (the orders of the others are meaningless).
+    """
+    size, d, _ = demixing.shape
+    rows = _assign(np.abs(demixing))
+    w_matched = np.take_along_axis(demixing, rows[:, :, None], axis=1)
+    diag = np.diagonal(w_matched, axis1=1, axis2=2).copy()
+    signs = np.where(diag >= 0.0, 1.0, -1.0)
+    w_matched = w_matched * signs[:, :, None]
+    diag = np.abs(diag)
+    ok = ~np.any(diag < 1e-12, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b0 = np.eye(d) - w_matched / diag[:, :, None]
+
+    incoming = b0**2
+    incoming[:, np.arange(d), np.arange(d)] = 0.0
+    remaining = np.ones((size, d), dtype=bool)
+    order = np.empty((size, d), dtype=np.intp)
+    for k in range(d):
+        scores = np.where(remaining[:, None, :], incoming, 0.0).sum(axis=2)
+        order[:, k] = np.argmin(np.where(remaining, scores, np.inf), axis=1)
+        remaining[np.arange(size), order[:, k]] = False
+    return order, ok
+
+
 def causal_order(ica: IcaResult) -> tuple[int, ...]:
     """Causal order from the demixing matrix.
 
@@ -277,34 +391,39 @@ def causal_order(ica: IcaResult) -> tuple[int, ...]:
     positive diagonal, and scaled to unit diagonal.  The order is then read
     off B0 = I - W' by repeatedly extracting the variable with the smallest
     squared incoming coefficients from the not-yet-ordered set; ties break
-    toward the lower variable index.
+    toward the lower variable index.  This is the bootstrap's stacked
+    ordering on a stack of one.
     """
     w = ica.demixing
     if not np.all(np.isfinite(w)):
         raise LingamError("non-finite demixing matrix")
-    d = w.shape[0]
-    row_ind, col_ind = linear_sum_assignment(-np.abs(w))
-    row_for_var = np.empty(d, dtype=int)
-    row_for_var[col_ind] = row_ind
-    w_matched = w[row_for_var, :]
-    diag = np.diag(w_matched).copy()
-    signs = np.where(diag >= 0.0, 1.0, -1.0)
-    w_matched = w_matched * signs[:, None]
-    diag = np.abs(diag)
-    if np.any(diag < 1e-12):
+    order, ok = _order_stack(w[None])
+    if not ok[0]:
         raise LingamError("zero diagonal after ICA row matching")
-    b0 = np.eye(d) - w_matched / diag[:, None]
+    return tuple(order[0].tolist())
 
-    incoming = b0**2
-    np.fill_diagonal(incoming, 0.0)
-    remaining = np.ones(d, dtype=bool)
-    order = []
-    for _ in range(d):
-        scores = np.where(remaining, incoming, 0.0).sum(axis=1)
-        best = int(np.argmin(np.where(remaining, scores, np.inf)))
-        order.append(best)
-        remaining[best] = False
-    return tuple(order)
+
+def _effects_stack(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``estimate_effects`` on (B, n, d) data and (B, d) orders, n >= d:
+    the (B, d, d) adjacencies and the (B, d) mask of the order positions
+    whose variable is in the span of its predecessors.  A matrix with such
+    a position is a failed fit; its adjacency is meaningless.
+    """
+    size, n, d = x.shape
+    r = np.linalg.qr(np.take_along_axis(x, order[:, None, :], axis=2), mode="r")
+    r_diag = np.diagonal(r, axis1=1, axis2=2)
+    diag = np.abs(r_diag)
+    deficient = diag <= np.finfo(float).eps * max(n, d) * diag.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = r / r_diag[:, :, None]
+    # unit upper triangular once the failed fits stand replaced, so invertible
+    full = ~deficient.any(axis=1)
+    inverse = np.linalg.inv(np.where(full[:, None, None], unit, np.eye(d)))
+    b = np.zeros((size, d, d))
+    b[np.arange(size)[:, None, None], order[:, :, None], order[:, None, :]] = np.triu(
+        np.eye(d) - inverse, 1
+    )
+    return b, deficient
 
 
 def estimate_effects(
@@ -318,6 +437,7 @@ def estimate_effects(
     regression: with x[:, order] = QR and R = diag(r) U, the coefficients
     in order coordinates are I - U^-1.  A diagonal entry of R at lstsq's
     rank threshold, a variable in the span of its predecessors, is an error.
+    This is the bootstrap's stacked regression on a stack of one.
     """
     x = data.x if isinstance(data, StandardizedData) else np.asarray(data, float)
     n, d = x.shape
@@ -327,20 +447,14 @@ def estimate_effects(
         raise LingamError(
             f"variable {order[n]} has {n} predecessors but only {n} rows"
         )
-    order = list(order)
-    r = np.linalg.qr(x[:, order], mode="r")
-    diag = np.abs(np.diag(r))
-    deficient = np.flatnonzero(diag <= np.finfo(float).eps * max(n, d) * diag.max())
-    if len(deficient):
+    b, deficient = _effects_stack(x[None], np.asarray(order)[None])
+    if deficient.any():
         raise LingamError(
-            f"rank-deficient predecessor block: variable {order[deficient[0]]} "
+            f"rank-deficient predecessor block: variable "
+            f"{order[np.flatnonzero(deficient[0])[0]]} "
             "is a linear combination of the variables before it"
         )
-    unit = r / np.diag(r)[:, None]
-    b_ordered = np.triu(np.eye(d) - np.linalg.inv(unit), 1)
-    b = np.zeros((d, d))
-    b[np.ix_(order, order)] = b_ordered
-    return b
+    return b[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,40 +470,37 @@ class BootstrapResult:
     n_unconverged: int  # resamples whose FastICA hit the iteration cap
 
 
-def _fit_block(
-    x: np.ndarray, seed: int, resamples: range
-) -> list[tuple[np.ndarray, np.ndarray, bool] | None]:
-    """Full re-runs on a block of row resamples, FastICA in lock-step.
+def _resample_rows(x: np.ndarray, seed: int, resamples: range):
+    """The standardized stack of a block of row resamples, its (B, d) column
+    sds and mask of the resamples without a constant column, and each
+    resample's stream after it drew its rows.
 
-    Resample b owns the stream (seed, bootstrap-key, b) and draws its rows,
-    then its ICA start.  Each fit is the standardized adjacency, the same in
-    raw units, and whether its ICA converged; None when the fit degenerates
-    (constant or collinear columns, failed or non-finite decomposition).
+    Resample b owns the stream (seed, bootstrap-key, b) and draws its rows
+    first, so the block's data can be drawn again from the seed alone.
+    """
+    n = len(x)
+    streams = [rng_mod.stream(seed, rng_mod.KEY_BOOTSTRAP, b) for b in resamples]
+    rows = np.stack([rng.integers(0, n, size=n) for rng in streams])
+    return (*_standardize_stack(x[rows]), streams)
+
+
+def _ica_block(x: np.ndarray, seed: int, resamples: range):
+    """FastICA in lock-step on a block of row resamples, each from the ICA
+    start its stream draws after its rows.
+
+    Returns the indices of the resamples whose decomposition succeeded,
+    their demixing matrices and whether each converged; the others
+    degenerate (constant or collinear columns, failed or non-finite
+    decomposition).
     """
     n, d = x.shape
-    rows = np.empty((len(resamples), n), dtype=np.intp)
-    starts = np.empty((len(resamples), d, d))
-    for k, b in enumerate(resamples):
-        rng = rng_mod.stream(seed, rng_mod.KEY_BOOTSTRAP, b)
-        rows[k] = rng.integers(0, n, size=n)
-        starts[k] = rng.standard_normal((d, d))
-    z, sd, ok = _standardize_stack(x[rows])
+    z, _, ok, streams = _resample_rows(x, seed, resamples)
+    starts = np.stack([rng.standard_normal((d, d)) for rng in streams])
     live = np.flatnonzero(ok) if n > d + 1 else np.empty(0, dtype=np.intp)
     zw, whiten, ok = _whiten_stack(z[live])
     live, zw, whiten = live[ok], zw[ok], whiten[ok]
-    w, n_iter, converged, ok = _ica_stack(zw, starts[live])
-    live, n_iter, converged = live[ok], n_iter[ok], converged[ok]
-    demixing = w[ok] @ whiten[ok]
-
-    fits: list = [None] * len(resamples)
-    for k, b in enumerate(live):
-        ica = IcaResult(demixing[k], int(n_iter[k]), bool(converged[k]))
-        try:
-            b_std = estimate_effects(z[b], causal_order(ica))
-        except (LingamError, np.linalg.LinAlgError):
-            continue
-        fits[b] = (b_std, b_std * sd[b][None, :] / sd[b][:, None], ica.converged)
-    return fits
+    w, _, converged, ok = _ica_stack(zw, starts[live])
+    return resamples.start + live[ok], w[ok] @ whiten[ok], converged[ok]
 
 
 def bootstrap_cis(
@@ -410,11 +521,14 @@ def bootstrap_cis(
     every resample degenerates this raises.  Sign stability is the fraction
     of the remaining resamples whose edge sign equals the point estimate's.
 
-    Resamples run in blocks of consecutive indices, FastICA in lock-step
-    within a block; blocks run sequentially or across worker processes
-    (config.threads).  Each resample owns an independent RNG stream of
-    config.seed and block boundaries depend on the data shape only, so
-    results do not depend on the thread count.
+    Resamples run in blocks of consecutive indices, in three phases:
+    FastICA in lock-step within each block, the blocks sequentially or
+    across worker processes (config.threads); one stacked matching and
+    ordering over every decomposed resample; then the effects, one stacked
+    regression per block on rows drawn again from the resamples' streams,
+    so no more than one block's data is held at once.  Each resample owns
+    an independent RNG stream of config.seed and block boundaries depend on
+    the data shape only, so results do not depend on the thread count.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -424,14 +538,29 @@ def bootstrap_cis(
         raise LingamError(f"bootstrap needs n_resamples >= 1, got {n_resamples}")
     size = max(1, _BLOCK_ELEMENTS // (n * d))
     blocks = [range(s, min(s + size, n_resamples)) for s in range(0, n_resamples, size)]
-    fitted = rng_mod.map_replicas(
-        lambda k: _fit_block(x, config.seed, blocks[k]), len(blocks), config.threads
+    icas = rng_mod.map_replicas(
+        lambda k: _ica_block(x, config.seed, blocks[k]), len(blocks), config.threads
     )
-    fits = [fit for block in fitted for fit in block if fit is not None]
-    if not fits:
+    live, demixing, converged = (np.concatenate(parts) for parts in zip(*icas))
+    orders, ok = _order_stack(demixing)
+    live, orders, converged = live[ok], orders[ok], converged[ok]
+
+    estimates, estimates_raw, fit_converged = [], [], []
+    for block in blocks:
+        here = (live >= block.start) & (live < block.stop)
+        z, sd, _, _ = _resample_rows(x, config.seed, block)
+        k = live[here] - block.start
+        b_std, deficient = _effects_stack(z[k], orders[here])
+        ok = ~deficient.any(axis=1)
+        k, b_std = k[ok], b_std[ok]
+        estimates.append(b_std)
+        estimates_raw.append(b_std * sd[k, None, :] / sd[k, :, None])
+        fit_converged.append(converged[here][ok])
+    estimates = np.concatenate(estimates)
+    estimates_raw = np.concatenate(estimates_raw)
+    fit_converged = np.concatenate(fit_converged)
+    if not len(fit_converged):
         raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
-    estimates = np.stack([r[0] for r in fits])
-    estimates_raw = np.stack([r[1] for r in fits])
     sign_stability = (np.sign(estimates) == np.sign(point_estimate)).mean(axis=0)
     return BootstrapResult(
         ci_low=np.percentile(estimates, 2.5, axis=0),
@@ -439,8 +568,8 @@ def bootstrap_cis(
         ci_low_raw=np.percentile(estimates_raw, 2.5, axis=0),
         ci_high_raw=np.percentile(estimates_raw, 97.5, axis=0),
         sign_stability=sign_stability,
-        n_flagged=n_resamples - len(fits),
-        n_unconverged=sum(not r[2] for r in fits),
+        n_flagged=n_resamples - len(fit_converged),
+        n_unconverged=int(np.sum(~fit_converged)),
     )
 
 

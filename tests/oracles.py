@@ -140,6 +140,16 @@ def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T @ w
 
 
+def max_weight_rows(weight: np.ndarray) -> np.ndarray:
+    """Row matched to each column by scipy's maximum-total-weight assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(-weight)
+    row_for_col = np.empty(len(weight), dtype=int)
+    row_for_col[cols] = rows
+    return row_for_col
+
+
 def lingam_order_loop(demixing: np.ndarray) -> tuple[int, ...]:
     """LiNGAM causal order read off a demixing matrix with plain loops.
 
@@ -148,12 +158,9 @@ def lingam_order_loop(demixing: np.ndarray) -> tuple[int, ...]:
     remaining variable with the smallest sum of squared incoming
     coefficients from the remaining set, the lower index on ties.
     """
-    from scipy.optimize import linear_sum_assignment
-
     d = len(demixing)
-    rows, cols = linear_sum_assignment(-np.abs(demixing))
     matched = np.empty((d, d))
-    for r, c in zip(rows, cols):
+    for c, r in enumerate(max_weight_rows(np.abs(demixing))):
         if abs(demixing[r, c]) < 1e-12:
             raise ValueError("zero diagonal after row matching")
         matched[c] = demixing[r] / demixing[r, c]

@@ -8,7 +8,12 @@ import pytest
 
 import pumpcausal.lingam as lingam_mod
 import pumpcausal.rng as rng_mod
-from oracles import lingam_bootstrap_serial, lingam_order_loop, ols_normal_equations
+from oracles import (
+    lingam_bootstrap_serial,
+    lingam_order_loop,
+    max_weight_rows,
+    ols_normal_equations,
+)
 from pumpcausal.errors import InsufficientGroupError, LingamError
 from pumpcausal.grouping import Group, GroupDataset, min_members
 from pumpcausal.lingam import (
@@ -16,6 +21,9 @@ from pumpcausal.lingam import (
     CausalModel,
     IcaResult,
     LingamConfig,
+    _assign,
+    _effects_stack,
+    _order_stack,
     _stacked,
     bootstrap_cis,
     causal_order,
@@ -205,6 +213,58 @@ class TestCausalOrder:
         for w in (np.eye(4), permutation, np.diag([-1.0, 1.0, -1.0])):
             assert causal_order(_ica_from_demixing(w)) == lingam_order_loop(w)
 
+    def test_stacked_matching_equals_scipy(self):
+        rng = rng_mod.stream(0, 918)
+        d, size = 21, 130
+        for _ in range(4):
+            gaussian = rng.standard_normal((size, d, d))
+            scaled = gaussian * 10.0 ** rng.uniform(-3.0, 3.0, size=(size, d, 1))
+            dominant = rng.standard_normal((size, d, d))
+            dominant[:, :, rng.integers(d)] += 20.0  # every row's best column
+            near_permutation = 0.05 * rng.standard_normal((size, d, d))
+            for k in range(size):
+                near_permutation[k, rng.permutation(d), np.arange(d)] += 1.0
+            for stack in (gaussian, scaled, dominant, near_permutation):
+                weight = np.abs(stack)
+                expected = np.stack([max_weight_rows(w) for w in weight])
+                np.testing.assert_array_equal(_assign(weight), expected)
+
+    def test_matching_on_ties_has_the_optimal_total(self):
+        rng = rng_mod.stream(0, 919)
+        permutation = np.zeros((6, 6))
+        permutation[np.arange(6), [3, 0, 5, 1, 4, 2]] = 1.0
+        stacks = (
+            np.ones((2, 5, 5)),
+            np.zeros((1, 4, 4)),
+            permutation[None],
+            np.abs(np.round(rng.standard_normal((300, 6, 6)))),
+        )
+        for weight in stacks:
+            d = weight.shape[1]
+            rows = _assign(weight)
+            for w, r in zip(weight, rows):
+                assert sorted(r) == list(range(d))
+                total = w[r, np.arange(d)].sum()
+                assert total == w[max_weight_rows(w), np.arange(d)].sum()
+
+    def test_stacked_orders_match_loop_oracle(self):
+        rng = rng_mod.stream(0, 920)
+        for d in (2, 5, 12, 21):
+            stack = np.eye(d) + rng.normal(scale=0.5, size=(40, d, d))
+            order, ok = _order_stack(stack)
+            assert ok.all()
+            for w, o in zip(stack, order):
+                assert tuple(o.tolist()) == lingam_order_loop(w)
+
+    def test_zero_diagonal_flags_only_that_matrix(self):
+        zero_row = np.eye(3)
+        zero_row[1] = 0.0  # whichever column row 1 takes, its entry is zero
+        order, ok = _order_stack(np.stack([np.eye(3), zero_row, 2.0 * np.eye(3)]))
+        assert ok.tolist() == [True, False, True]
+        assert order[[0, 2]].tolist() == [[0, 1, 2], [0, 1, 2]]
+        with pytest.raises(LingamError, match="zero diagonal"):
+            causal_order(_ica_from_demixing(zero_row))
+
     def test_chain_recovered_from_data(self):
         hits = 0
         for seed in range(20):
@@ -274,6 +334,16 @@ class TestEstimateEffects:
         x = np.column_stack([col, col, rng.uniform(-1, 1, 100)])
         with pytest.raises(LingamError, match="rank-deficient.*variable 1 "):
             estimate_effects(x, (0, 1, 2))
+
+    def test_stack_flags_only_the_deficient_matrix(self):
+        rng = rng_mod.stream(0, 921)
+        x = rng.uniform(-1, 1, size=(3, 100, 3))
+        x[1, :, 2] = x[1, :, 0]
+        order = np.array([[0, 1, 2], [0, 1, 2], [2, 0, 1]])
+        b, deficient = _effects_stack(x, order)
+        assert deficient.tolist() == [[False] * 3, [False, False, True], [False] * 3]
+        for k in (0, 2):
+            np.testing.assert_array_equal(b[k], estimate_effects(x[k], tuple(order[k])))
 
     def test_order_invariant_to_column_scaling(self):
         for seed in range(5):
