@@ -24,23 +24,51 @@ INSPECTIONS_HEADER = ["pump_id", "day", "state"]
 TIMESERIES_HEADER = ["pump_id", "day", "value"]
 
 
+_CHECK_ROWS = 2**14  # rows per step of a check over whole columns
+
+
+def _spans(start: int, stop: int):
+    """Row ranges [a, b) of at most ``_CHECK_ROWS`` rows that cover
+    [start, stop), so that a check over one span holds only that span's
+    temporaries."""
+    return ((a, min(a + _CHECK_ROWS, stop)) for a in range(start, stop, _CHECK_ROWS))
+
+
 def _group_by_key(code: np.ndarray, *columns: np.ndarray):
     """The columns with each key's rows gathered in file order, and the
-    gathering order (None when every key's rows already form one run)."""
-    if not np.any(code[1:] < code[:-1]):
+    gathering order (None when every key's rows already form one run).
+
+    Keys are coded in order of appearance, so the rows are gathered exactly
+    when the codes never decrease.
+    """
+    if not any(np.any(code[a:b] < code[a - 1 : b - 1]) for a, b in _spans(1, len(code))):
         return None, (code, *columns)
     order = np.argsort(code, kind="stable")
     return order, tuple(c[order] for c in (code, *columns))
 
 
-def _first_in_file(bad: np.ndarray, order: np.ndarray | None) -> list[tuple[int, int]]:
-    """The row of ``bad`` that comes first in the file, with its file row
-    (row r of the columns is file row ``order[r]``); empty when none is bad."""
-    (rows,) = np.nonzero(bad)
-    if not len(rows):
+def _first_in_file(masks, order: np.ndarray | None) -> list[tuple[int, int]]:
+    """The bad row that comes first in the file, with its file row (row r
+    of the columns is file row ``order[r]``); empty when none is bad.
+
+    ``masks`` yields (a, bad) pairs in row order: ``bad[i]`` tells whether
+    row a + i is bad.  Without ``order`` the first bad row is the answer,
+    and no later mask is drawn.
+    """
+    first = None
+    for a, bad in masks:
+        rows = np.flatnonzero(bad) + a
+        if not len(rows):
+            continue
+        if order is None:
+            first = int(rows[0])
+            break
+        r = int(rows[np.argmin(order[rows])])
+        if first is None or order[r] < order[first]:
+            first = r
+    if first is None:
         return []
-    r = int(rows[0] if order is None else rows[np.argmin(order[rows])])
-    return [(r, r if order is None else int(order[r]))]
+    return [(first, first if order is None else int(order[first]))]
 
 
 def _inspection_problems(pump_ids, pump, day, state, order=None) -> list[tuple[int, str]]:
@@ -56,7 +84,7 @@ def _inspection_problems(pump_ids, pump, day, state, order=None) -> list[tuple[i
     return [
         (row, f"pump {pump_ids[pump[r]]}: {message(r)}")
         for bad, message in rules
-        for r, row in _first_in_file(bad, order)
+        for r, row in _first_in_file([(0, bad)], order)
     ]
 
 
@@ -204,20 +232,30 @@ def ingest_timeseries(path: str | Path) -> list[CovariateSeries]:
     An error names the first offending line in file order: malformed,
     non-finite, or breaking its pump's run of consecutive days.  Series come
     in first-appearance order, their values views into one value column.
+    The columns are checked in spans of ``_CHECK_ROWS`` rows, so a file
+    whose pumps' rows each form one run is held once; a file whose pumps'
+    rows interleave is also sorted into a pump-grouped copy.
     """
     table = read_table(path, TIMESERIES_HEADER, (int, float))
-    nonfinite = _first_in_file(~np.isfinite(table.columns[2]), None)
+    value = table.columns[2]
+    nonfinite = _first_in_file(
+        ((a, ~np.isfinite(value[a:b])) for a, b in _spans(0, len(value))), None
+    )
     errors = [(row + 2, "non-finite value") for _, row in nonfinite]
     order, (code, day, value) = _group_by_key(*table.columns)
-    gaps = np.zeros(len(code), dtype=bool)  # filled in place: no prepended copies
-    gaps[1:] = (code[1:] == code[:-1]) & (np.diff(day) != 1)
+    gaps = (
+        (a, (code[a:b] == code[a - 1 : b - 1]) & (day[a:b] - day[a - 1 : b - 1] != 1))
+        for a, b in _spans(1, len(code))
+    )
     errors += [
         (row + 2, f"pump {table.keys[code[r]]} days not contiguous "
                   f"(expected {day[r - 1] + 1}, got {day[r]})")
         for r, row in _first_in_file(gaps, order)
     ]
     table.raise_first(errors)
-    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    # the grouped codes run 0, 0, ..., 1, ...: each pump's first row is found
+    # by bisection, with no full-length temporary
+    starts = np.searchsorted(code, np.arange(len(table.keys), dtype=code.dtype))
     return [
         CovariateSeries(table.keys[c], int(d), v)
         for c, d, v in zip(code[starts], day[starts], np.split(value, starts[1:]))

@@ -97,7 +97,7 @@ def make_logp_and_grad(
     for concurrent invocation.
     """
     layout = layout or ParamLayout.for_dataset(data)
-    if layout.n_states != data.n_states or layout.n_pumps != data.n_pumps:
+    if layout != ParamLayout.for_dataset(data):
         raise ModelError("layout does not match dataset")
     order = np.argsort(data.y, kind="stable")
     n_zero = int(np.count_nonzero(data.y == 0))

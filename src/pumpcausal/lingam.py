@@ -38,7 +38,7 @@ COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
 DEPENDENT_TOL = math.sqrt(2.0 * COLLINEAR_TOL)
 TARGET_NAME = "u"
 # bootstrap resamples run in blocks of about this many stacked data elements
-# (resamples x rows x columns); the size depends on the data shape only
+# (resamples x rows x columns); it bounds memory and does not change results
 _BLOCK_ELEMENTS = 2**15
 # FastICA stops once no component's direction changes by more than ICA_TOL
 # in one iteration, or after ICA_MAX_ITER iterations
@@ -527,8 +527,9 @@ def bootstrap_cis(
     ordering over every decomposed resample; then the effects, one stacked
     regression per block on rows drawn again from the resamples' streams,
     so no more than one block's data is held at once.  Each resample owns
-    an independent RNG stream of config.seed and block boundaries depend on
-    the data shape only, so results do not depend on the thread count.
+    an independent RNG stream of config.seed, and every stacked operation
+    treats its resamples apart, so the results depend on neither the block
+    size nor the thread count.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape

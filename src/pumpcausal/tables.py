@@ -111,6 +111,11 @@ def _row_type(names: Sequence[str], kinds: Sequence) -> tuple[tuple, np.dtype]:
     return kinds, np.dtype(fields)
 
 
+def _columns(dtype: np.dtype, n_rows: int) -> tuple[np.ndarray, ...]:
+    """One uninitialised column of ``n_rows`` per field of a row dtype."""
+    return tuple(np.empty(n_rows, dtype[name]) for name in dtype.names)
+
+
 def _undecodable_line(path: Path) -> int:
     with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -121,25 +126,41 @@ def _undecodable_line(path: Path) -> int:
     return 0
 
 
+def _line_count(fh) -> int:
+    """The lines of a text file, split as iterating it splits them (at LF,
+    CRLF or a bare CR), up to the first that does not decode."""
+    count = 0
+    try:
+        for count, _ in enumerate(fh, start=1):
+            pass
+    except UnicodeDecodeError:
+        pass
+    return count
+
+
 def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) -> Table:
     """Parse a CSV table into one contiguous column per field.
 
     ``header`` is the expected header line, or None to take the file's.
     ``kinds`` gives each field after the key: ``int``, ``float`` or an
     ``Enum`` of labels, the last one repeating for any further fields.  The
-    lines are parsed in blocks of ``_BLOCK_LINES``, one ``np.loadtxt`` call
-    each.  A missing, empty or undecodable file, a wrong header, a wrong
-    field count or a value that does not parse is returned as an error, not
-    raised, so that the caller raises whichever of these and its own errors
-    comes first in the file.
+    lines are counted first, then parsed in blocks of ``_BLOCK_LINES``, one
+    ``np.loadtxt`` call each, straight into one preallocated column per
+    field, so no more than one block is held twice.  A missing, empty or
+    undecodable file, a wrong header, a wrong field count or a value that
+    does not parse is returned as an error, not raised, so that the caller
+    raises whichever of these and its own errors comes first in the file.
     """
     path = Path(path)
     codes = defaultdict()
     codes.default_factory = codes.__len__  # a new key takes the next code
-    names, blocks, errors = list(header or ()), [], []
+    names, errors, filled, columns = list(header or ()), [], 0, ()
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            found = next(csv.reader(fh), None)
+            n_lines = _line_count(fh)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            found = next(reader, None)
             if found is None:
                 errors.append((0, "empty file"))
             elif header is None and found:
@@ -150,22 +171,23 @@ def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) 
             row_kinds, dtype = _row_type(names, kinds)
             converters = {i: k for i, k in enumerate(row_kinds, 1) if k not in _DTYPES}
             converters[0] = codes.__getitem__
-            line_no = 2
+            columns = _columns(dtype, n_lines - reader.line_num)
             while not errors and (lines := list(islice(fh, _BLOCK_LINES))):
                 rows, n_good = _parse_block(lines, dtype, converters)
-                blocks.append(rows)
+                for column, name in zip(columns, dtype.names):
+                    column[filled : filled + n_good] = rows[name]
+                filled += n_good
                 if n_good < len(lines):
-                    errors.append((line_no + n_good, _line_error(lines[n_good], names, row_kinds)))
-                line_no += len(lines)
+                    errors.append((filled + 2, _line_error(lines[n_good], names, row_kinds)))
+                del lines, rows  # not held while the next block is read
     except FileNotFoundError:
         errors.append((0, "file not found"))
     except UnicodeDecodeError:
         errors.append((_undecodable_line(path), "not UTF-8 text"))
     except OSError as exc:
         errors.append((0, f"cannot read ({exc.strerror})"))
-    blocks = blocks or [np.empty(0, _row_type(names, kinds)[1])]
-    columns = tuple(np.concatenate([b[name] for b in blocks]) for name in blocks[0].dtype.names)
-    return Table(path, tuple(names), list(codes), columns, errors)
+    columns = columns or _columns(_row_type(names, kinds)[1], 0)  # the file was not read
+    return Table(path, tuple(names), list(codes), tuple(c[:filled] for c in columns), errors)
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -1,10 +1,14 @@
 """Ingestion, transition construction, and round-trip tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pumpcausal import data as data_mod
 from pumpcausal import tables
 from pumpcausal.data import (
+    TIMESERIES_HEADER,
     CovariateSeries,
     Dataset,
     Inspections,
@@ -23,6 +27,25 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# timeseries bodies after the header, and the error each must raise
+FIRST_OFFENDING_LINES = [
+    ("P,0,1\nP,1,2,3\n", "line 3: expected 3 fields, got 4"),
+    ("P,0,1\nP,1,2\nP,2\n", "line 4: expected 3 fields, got 2"),
+    ("P,0,1\n\nP,1,2\n", "line 3: expected 3 fields, got 0"),
+    ("P,0,1\nP,1.5,2\n", "line 3: day '1.5' is not an integer"),
+    ("P,0,1\nP,1,2\nP,2,abc\n", "line 4: value 'abc' is not a number"),
+    ("P,0,1\nP,1,nan\n", "line 3: non-finite value"),
+    ("P,0,1\nP,1,2\nP,2,-inf\n", "line 4: non-finite value"),
+    ("P,0,1\nP,2,1\n", r"line 3: pump P days not contiguous \(expected 1, got 2\)"),
+    ("A,0,1\nB,5,1\nA,1,1\nB,7,1\n",
+     r"line 5: pump B days not contiguous \(expected 6, got 7\)"),
+    # the first offending line in file order, whatever its kind
+    ("P,0,1\nP,2,1\nP,3,x\n", r"line 3: pump P days not contiguous"),
+    ("P,0,1\nP,1,inf\nP,2\n", "line 3: non-finite value"),
+    ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: value 'x' is not a number"),
+]
 
 
 class TestIngestInspections:
@@ -86,25 +109,7 @@ class TestIngestTimeseries:
 
     # a block size of 2 puts most offending lines past the first block
     @pytest.mark.parametrize("block_lines", [2, tables._BLOCK_LINES])
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("P,0,1\nP,1,2,3\n", "line 3: expected 3 fields, got 4"),
-            ("P,0,1\nP,1,2\nP,2\n", "line 4: expected 3 fields, got 2"),
-            ("P,0,1\n\nP,1,2\n", "line 3: expected 3 fields, got 0"),
-            ("P,0,1\nP,1.5,2\n", "line 3: day '1.5' is not an integer"),
-            ("P,0,1\nP,1,2\nP,2,abc\n", "line 4: value 'abc' is not a number"),
-            ("P,0,1\nP,1,nan\n", "line 3: non-finite value"),
-            ("P,0,1\nP,1,2\nP,2,-inf\n", "line 4: non-finite value"),
-            ("P,0,1\nP,2,1\n", r"line 3: pump P days not contiguous \(expected 1, got 2\)"),
-            ("A,0,1\nB,5,1\nA,1,1\nB,7,1\n",
-             r"line 5: pump B days not contiguous \(expected 6, got 7\)"),
-            # the first offending line in file order, whatever its kind
-            ("P,0,1\nP,2,1\nP,3,x\n", r"line 3: pump P days not contiguous"),
-            ("P,0,1\nP,1,inf\nP,2\n", "line 3: non-finite value"),
-            ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: value 'x' is not a number"),
-        ],
-    )
+    @pytest.mark.parametrize("body, message", FIRST_OFFENDING_LINES)
     def test_error_names_first_offending_line(
         self, tmp_path, monkeypatch, block_lines, body, message
     ):
@@ -112,6 +117,73 @@ class TestIngestTimeseries:
         path = _write(tmp_path, "t.csv", "pump_id,day,value\n" + body)
         with pytest.raises(DataError, match=message):
             ingest_timeseries(path)
+
+    @pytest.mark.parametrize("check_rows", [1, 2])
+    @pytest.mark.parametrize("body, message", FIRST_OFFENDING_LINES)
+    def test_checks_span_row_chunks(self, tmp_path, monkeypatch, check_rows, body, message):
+        # a check over whole columns runs in spans; a span boundary between
+        # a row and the one before it must change nothing
+        monkeypatch.setattr(data_mod, "_CHECK_ROWS", check_rows)
+        path = _write(tmp_path, "t.csv", "pump_id,day,value\n" + body)
+        with pytest.raises(DataError, match=message):
+            ingest_timeseries(path)
+
+    @pytest.mark.parametrize("block_lines", [2, tables._BLOCK_LINES])
+    def test_line_endings_parse_alike(self, tmp_path, monkeypatch, block_lines):
+        # the lines are counted before they are parsed; LF, CRLF and a bare
+        # CR must split both alike
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
+        lines = ["pump_id,day,value", "A,0,1.5", "A,1,-0.0", "B,4,2e-3", "B,5,7", "B,6,8.25"]
+        bad = lines[:4] + ["B,5"] + lines[5:]
+        columns = []
+        for eol in ("\n", "\r\n", "\r"):
+            path = tmp_path / "t.csv"
+            path.write_bytes(eol.join(lines).encode() + eol.encode())
+            table = tables.read_table(path, TIMESERIES_HEADER, (int, float))
+            assert not table.errors and table.keys == ["A", "B"]
+            columns.append(table.columns)
+            series = ingest_timeseries(path)
+            assert [(s.pump_id, s.start_day, s.values.tolist()) for s in series] == [
+                ("A", 0, [1.5, -0.0]), ("B", 4, [2e-3, 7.0, 8.25])
+            ]
+            path.write_bytes(eol.join(bad).encode())  # and no line break at the end
+            with pytest.raises(DataError, match="t.csv line 5: expected 3 fields, got 2$"):
+                ingest_timeseries(path)
+        for other in columns[1:]:
+            for a, b in zip(columns[0], other):
+                assert a.dtype == b.dtype and len(a) == 5
+                np.testing.assert_array_equal(a, b)
+
+    def test_ingestion_holds_one_copy(self, tmp_path, monkeypatch):
+        # the columns are parsed straight into place and checked in spans:
+        # beyond them only one block of lines (~0.5 MB) and one span's
+        # temporaries are held.  At 500 pumps x 650 days the columns are
+        # 6.5 MB, so the block is below a tenth of them.
+        values = np.random.default_rng(3).normal(20.0, 1.0, (500, 650))
+        path = tmp_path / "timeseries.csv"
+        write_timeseries_csv(
+            (CovariateSeries(f"P{i:04d}", 0, v) for i, v in enumerate(values)), path
+        )
+        del values
+        read_peaks, tables_read = [], []
+
+        def read_table(*args):
+            tables_read.append(tables.read_table(*args))
+            read_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return tables_read[-1]
+
+        monkeypatch.setattr(data_mod, "read_table", read_table)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            series = ingest_timeseries(path)
+            ingest_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(c.nbytes for c in tables_read[0].columns)
+        assert len(series) == 500 and nbytes == 650 * 500 * (4 + 8 + 8)
+        assert read_peaks[0] <= 1.1 * nbytes
+        assert ingest_peak <= 1.25 * nbytes
 
     @pytest.mark.parametrize(
         "text, message",

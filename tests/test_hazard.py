@@ -248,6 +248,18 @@ class TestBatchedTarget:
                     log_posterior_unconstrained(theta[c], data, layout), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("layout", [
+        ParamLayout(8, 0, 2),  # fewer covariates: the fit would drop beta . x
+        ParamLayout(8, 2, 2),  # more: the first call would index past x
+        ParamLayout(7, 1, 2),
+        ParamLayout(8, 1, 3),
+    ])
+    def test_layout_must_match_dataset(self, layout):
+        data = _dataset([_obs(0, 1, 20.0, 0, [0.5]), _obs(1, 2, 35.0, 1, [-1.0])],
+                        n_pumps=2, n_covariates=1)
+        with pytest.raises(ModelError, match="layout does not match dataset"):
+            make_logp_and_grad(data, layout)
+
 
 def _random_dataset(rng, n_pumps=3, n_states=8, p=0, n_obs=None):
     n_obs = int(rng.integers(5, 30)) if n_obs is None else n_obs

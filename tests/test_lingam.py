@@ -1,5 +1,6 @@
 """Causal discovery: ICA recovery, ordering, effects, bootstrap, discover."""
 
+import dataclasses
 import json
 import warnings
 
@@ -18,6 +19,7 @@ from pumpcausal.errors import InsufficientGroupError, LingamError
 from pumpcausal.grouping import Group, GroupDataset, min_members
 from pumpcausal.lingam import (
     _BLOCK_ELEMENTS,
+    BootstrapResult,
     CausalModel,
     IcaResult,
     LingamConfig,
@@ -440,6 +442,25 @@ class TestBootstrap:
             assert boot.n_flagged > 0
         if case == "iteration_cap":
             assert boot.n_unconverged == n_resamples - boot.n_flagged > 0
+
+    @pytest.mark.parametrize("shape", [(4, 40, 1), (8, 60, 12), (12, 200, 3)])
+    def test_block_size_changes_nothing(self, shape, monkeypatch):
+        # one resample per block, the documented size, and every resample in
+        # one block; these fleets leave 6, 20 and 3 resamples unconverged
+        x = generate_sem_data(*shape).x
+        point = np.zeros((x.shape[1], x.shape[1]))
+        results = []
+        for elements in (2**6, 2**15, 2**22):
+            monkeypatch.setattr(lingam_mod, "_BLOCK_ELEMENTS", elements)
+            results.append(bootstrap_cis(
+                x, point, n_resamples=40, config=LingamConfig(seed=3, threads=1)
+            ))
+        assert results[0].n_unconverged > 0
+        for other in results[1:]:
+            for field in dataclasses.fields(BootstrapResult):
+                np.testing.assert_array_equal(
+                    getattr(other, field.name), getattr(results[0], field.name)
+                )
 
     def test_stacked_failure_flags_only_the_failing_matrix(self):
         stack = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
