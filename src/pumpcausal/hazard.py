@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import ModelError
 
 PROB_FLOOR = 1e-15  # clamp for the y=1 branch when lambda*dt underflows
 MAX_LOG_EXPOSURE = 700.0  # keeps exp() finite; such points reject anyway
@@ -84,9 +83,7 @@ class ParamLayout:
         return center
 
 
-def make_logp_and_grad(
-    data: Dataset, layout: ParamLayout | None = None
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def make_logp_and_grad(data: Dataset) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Build the batched sampler target: theta (C, dim) -> (logp (C,), grad (C, dim)).
 
     Row c of both results depends on row c of theta alone, to the bit: the
@@ -96,9 +93,7 @@ def make_logp_and_grad(
     gradient ratio of the transition branch run on those rows only.  Safe
     for concurrent invocation.
     """
-    layout = layout or ParamLayout.for_dataset(data)
-    if layout != ParamLayout.for_dataset(data):
-        raise ModelError("layout does not match dataset")
+    layout = ParamLayout.for_dataset(data)
     order = np.argsort(data.y, kind="stable")
     n_zero = int(np.count_nonzero(data.y == 0))
     n_obs = len(data)

@@ -274,7 +274,7 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         build = data_mod.build_transitions(inspections, covariates)
         data_mod.write_transitions_csv(build.dataset, cfg.path("transitions"))
         layout = ParamLayout.for_dataset(build.dataset)
-        target = make_logp_and_grad(build.dataset, layout)
+        target = make_logp_and_grad(build.dataset)
         samples = sample(
             target, layout.dim, cfg.sampler_config(), init_center=layout.prior_center()
         )

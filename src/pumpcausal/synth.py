@@ -25,7 +25,6 @@ from . import rng as rng_mod
 from .data import (
     N_STATES,
     CovariateSeries,
-    Dataset,
     Inspections,
     TransitionBuild,
     build_transitions,
@@ -99,9 +98,9 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class HazardSynthesis:
-    """Generated inspection data plus the truth that produced it."""
+    """Generated inspection data plus the truth that produced it; the
+    transitions are ``build.dataset``."""
 
-    dataset: Dataset
     inspections: Inspections
     covariates: tuple[CovariateSeries, ...]
     truth: GroundTruth
@@ -160,7 +159,7 @@ def generate_hazard_data(config: SynthConfig, seed: int) -> HazardSynthesis:
     inspections = Inspections(pump_ids, *np.array(rows, dtype=np.int64).T)
     build = build_transitions(inspections, covariates if len(beta) else ())
     truth = GroundTruth(u_true=u_true, log_lambda0=log_lambda0, beta=beta, sigma_u=config.sigma_u)
-    return HazardSynthesis(build.dataset, inspections, tuple(covariates), truth, build)
+    return HazardSynthesis(inspections, tuple(covariates), truth, build)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,8 +58,20 @@ class Table:
             raise DataError(f"{self.path}{f' line {line}' if line else ''}: {message}")
 
 
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds a byte that is not UTF-8: a file opened with
+    ``errors="surrogateescape"`` holds each as a lone surrogate, which does
+    not encode."""
+    try:
+        return text.isascii() or bool(text.encode())
+    except UnicodeEncodeError:
+        return False
+
+
 def _line_error(line: str, header: Sequence[str], kinds: Sequence) -> str:
     """Why a line that ``np.loadtxt`` rejected is malformed."""
+    if not _is_utf8(line):
+        return "not UTF-8 text"
     fields = next(csv.reader([line]), [])
     if len(fields) != len(header):
         return f"expected {len(header)} fields, got {len(fields)}"
@@ -76,31 +88,30 @@ def _parse_lines(lines: list[str], dtype, converters) -> np.ndarray | None:
     """The lines as rows of ``dtype``; None unless every line is one row."""
     if not lines:
         return np.empty(0, dtype)
-    if any(map(str.isspace, lines)):  # loadtxt would skip a blank line
+    # loadtxt would skip a blank line, and take a byte that is not UTF-8
+    # as part of a pump id
+    if any(map(str.isspace, lines)) or not _is_utf8("".join(lines)):
         return None
     try:
+        # the last line is parsed twice over, so that a quoted field it
+        # leaves open swallows the copy, wherever a block ends
         rows = np.loadtxt(
-            lines, dtype, delimiter=",", comments=None, quotechar='"',
+            lines + lines[-1:], dtype, delimiter=",", comments=None, quotechar='"',
             converters=converters, ndmin=1,
         )
     except ValueError:
         return None
-    return rows if len(rows) == len(lines) else None
+    return rows[:-1] if len(rows) == len(lines) + 1 else None
 
 
 def _parse_block(lines: list[str], dtype, converters) -> tuple[np.ndarray, int]:
     """The rows of the lines before the first malformed one, and that
-    line's index (``len(lines)`` when every line parses), found by bisection."""
+    line's index (``len(lines)`` when every line parses)."""
     rows = _parse_lines(lines, dtype, converters)
     if rows is not None:
         return rows, len(lines)
-    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _parse_lines(lines[:mid], dtype, converters) is None:
-            bad = mid
-        else:
-            good = mid
+    # a malformed block: find its first malformed line one line at a time
+    good = next(i for i, line in enumerate(lines) if _parse_lines([line], dtype, converters) is None)
     return _parse_lines(lines[:good], dtype, converters), good
 
 
@@ -116,24 +127,11 @@ def _columns(dtype: np.dtype, n_rows: int) -> tuple[np.ndarray, ...]:
     return tuple(np.empty(n_rows, dtype[name]) for name in dtype.names)
 
 
-def _undecodable_line(path: Path) -> int:
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return 0
-
-
 def _line_count(fh) -> int:
     """The lines of a text file, split as iterating it splits them (at LF,
-    CRLF or a bare CR), up to the first that does not decode."""
+    CRLF or a bare CR)."""
     count = 0
-    try:
-        for count, _ in enumerate(fh, start=1):
-            pass
-    except UnicodeDecodeError:
+    for count, _ in enumerate(fh, start=1):
         pass
     return count
 
@@ -146,23 +144,26 @@ def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) 
     ``Enum`` of labels, the last one repeating for any further fields.  The
     lines are counted first, then parsed in blocks of ``_BLOCK_LINES``, one
     ``np.loadtxt`` call each, straight into one preallocated column per
-    field, so no more than one block is held twice.  A missing, empty or
-    undecodable file, a wrong header, a wrong field count or a value that
-    does not parse is returned as an error, not raised, so that the caller
-    raises whichever of these and its own errors comes first in the file.
+    field, so no more than one block is held twice.  A missing or empty
+    file, a wrong header, a line that is not UTF-8 text, a wrong field count
+    or a value that does not parse is returned as an error, not raised, so
+    that the caller raises whichever of these and its own errors comes first
+    in the file.
     """
     path = Path(path)
     codes = defaultdict()
     codes.default_factory = codes.__len__  # a new key takes the next code
     names, errors, filled, columns = list(header or ()), [], 0, ()
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
             n_lines = _line_count(fh)
             fh.seek(0)
             reader = csv.reader(fh)
             found = next(reader, None)
             if found is None:
                 errors.append((0, "empty file"))
+            elif not _is_utf8(",".join(found)):
+                errors.append((1, "not UTF-8 text"))
             elif header is None and found:
                 names = found
             elif found != names or not found:
@@ -182,8 +183,6 @@ def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) 
                 del lines, rows  # not held while the next block is read
     except FileNotFoundError:
         errors.append((0, "file not found"))
-    except UnicodeDecodeError:
-        errors.append((_undecodable_line(path), "not UTF-8 text"))
     except OSError as exc:
         errors.append((0, f"cannot read ({exc.strerror})"))
     columns = columns or _columns(_row_type(names, kinds)[1], 0)  # the file was not read

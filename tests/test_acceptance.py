@@ -92,7 +92,7 @@ def test_criterion_1_gradient_correctness():
         theta = rng.normal(0.0, 0.7, layout.dim)
         theta[layout.log_lambda0_slice] = rng.normal(-4.5, 0.7, layout.n_states)
         theta[layout.zeta_index] = rng.normal(0.0, 0.2)
-        analytic = make_logp_and_grad(data, layout)(theta[None])[1][0]
+        analytic = make_logp_and_grad(data)(theta[None])[1][0]
         numeric = finite_difference_gradient(
             lambda th: log_posterior_unconstrained(th, data, layout), theta, h=1e-5
         )
@@ -145,8 +145,8 @@ def test_criterion_2_sampler_calibration():
 
 def _fit_synthetic(seed: int):
     synthesis = generate_hazard_data(SynthConfig(), seed)
-    layout = ParamLayout.for_dataset(synthesis.dataset)
-    target = make_logp_and_grad(synthesis.dataset, layout)
+    layout = ParamLayout.for_dataset(synthesis.build.dataset)
+    target = make_logp_and_grad(synthesis.build.dataset)
     samples = sample(
         target,
         layout.dim,

@@ -47,6 +47,16 @@ FIRST_OFFENDING_LINES = [
     ("P,0,1\nQ,0,x\nP,5,1\nP,6,nan\n", "line 3: value 'x' is not a number"),
 ]
 
+# timeseries bodies holding a byte that is not UTF-8, and the error each must
+# raise: such a line is malformed like any other, so an earlier offending
+# line of any kind is named first
+NOT_UTF8_LINES = [
+    (b"P,0,1\nP,2,1\nP,3,1\nP,4,\xff\n", r"line 3: pump P days not contiguous"),
+    (b"P,0,1\nP,1,x\nP,2,1\nP,3,\xff\n", "line 3: value 'x' is not a number"),
+    (b"P,0,1\nP,1,1\nP\xff,2,1\nQ,0,1\n", "line 4: not UTF-8 text$"),
+    (b"P,0,1\nP,1,1\nP,2,1\xc3\n", "line 4: not UTF-8 text$"),  # a cut multi-byte character
+]
+
 
 class TestIngestInspections:
     def test_basic_parse(self, tmp_path):
@@ -117,6 +127,18 @@ class TestIngestTimeseries:
         path = _write(tmp_path, "t.csv", "pump_id,day,value\n" + body)
         with pytest.raises(DataError, match=message):
             ingest_timeseries(path)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, tables._BLOCK_LINES])
+    @pytest.mark.parametrize("body, message", NOT_UTF8_LINES)
+    def test_byte_not_utf8_is_a_malformed_line(
+        self, tmp_path, monkeypatch, block_lines, body, message
+    ):
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"pump_id,day,value\n" + body)
+        with pytest.raises(DataError, match=message) as error:
+            ingest_timeseries(path)
+        str(error.value).encode()  # holds no lone surrogate, so it prints
 
     @pytest.mark.parametrize("check_rows", [1, 2])
     @pytest.mark.parametrize("body, message", FIRST_OFFENDING_LINES)
@@ -397,6 +419,22 @@ class TestInspections:
         with pytest.raises(DataError, match=message):
             ingest_inspections(path)
 
+    @pytest.mark.parametrize("block_lines", [1, 2, tables._BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"pump_id,day,state\nP,0,1\nP,30,2\nQ\xfe,0,1\n", "line 4: not UTF-8 text$"),
+            (b"pump_id,d\xe9y,state\nP,0,1\n", "line 1: not UTF-8 text$"),
+        ],
+    )
+    def test_byte_not_utf8_names_its_line(self, tmp_path, monkeypatch, block_lines, text, message):
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
+        path = tmp_path / "i.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=message) as error:
+            ingest_inspections(path)
+        str(error.value).encode()  # holds no lone surrogate, so it prints
+
     def test_write_ingest_round_trip(self, tmp_path):
         inspections = _inspections(("a,b", 0, 1), ("a,b", 40, 3), ("Q", 5, 8))
         path = tmp_path / "inspections.csv"
@@ -430,6 +468,27 @@ class TestTables:
         table = tables.read_table(path, ["key", "value"], (float,))
         with pytest.raises(DataError, match="line 3: not UTF-8 text"):
             table.raise_first()
+
+    @pytest.mark.parametrize("block_lines", [1, 2, tables._BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "text, line", [(b"id,x\xff,y\na,1,2\n", 1), (b"id,x,y\na,1,2\nb\x80,3,4\nc,5,6\n", 3)]
+    )
+    def test_byte_not_utf8_with_header_from_file(self, tmp_path, monkeypatch, block_lines, text, line):
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        table = tables.read_table(path, None, (float,))
+        assert table.errors == [(line, "not UTF-8 text")]
+        assert all(map(tables._is_utf8, [*table.header, *table.keys]))
+
+    @pytest.mark.parametrize("block_lines", [1, 2, tables._BLOCK_LINES])
+    def test_quoted_field_left_open_is_malformed(self, tmp_path, monkeypatch, block_lines):
+        # csv would join the lines into one row; here each line is one row,
+        # wherever a block ends
+        monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
+        path = _write(tmp_path, "t.csv", 'key,value\na,1\nb,"2\nc",3\n')
+        table = tables.read_table(path, ["key", "value"], (float,))
+        assert table.errors == [(3, "malformed line")] and table.keys[:1] == ["a"]
 
     def test_columns_keys_and_variable_header(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -205,7 +205,7 @@ class TestUnconstrainedPosterior:
     def test_closure_matches_operations(self):
         data = _random_dataset(np.random.default_rng(3), n_pumps=4, p=2)
         layout = ParamLayout.for_dataset(data)
-        target = make_logp_and_grad(data, layout)
+        target = make_logp_and_grad(data)
         theta = np.random.default_rng(4).normal(0, 0.7, layout.dim)
         logp, grad = target(theta[None])
         assert logp.shape == (1,) and grad.shape == (1, layout.dim)
@@ -222,7 +222,7 @@ class TestBatchedTarget:
         rng = np.random.default_rng(8 + p)
         data = _random_dataset(rng, n_pumps=5, p=p, n_obs=120)
         layout = ParamLayout.for_dataset(data)
-        target = make_logp_and_grad(data, layout)
+        target = make_logp_and_grad(data)
         for c_rows in (1, 3, 8):
             theta = rng.normal(0.0, 0.7, (c_rows, layout.dim))
             theta[:, layout.log_lambda0_slice] -= 4.5
@@ -242,23 +242,11 @@ class TestBatchedTarget:
             data = _dataset([_obs(0, 1, 20.0, y), _obs(1, 2, 35.0, y)], n_pumps=2)
             layout = ParamLayout.for_dataset(data)
             theta = np.random.default_rng(y).normal(-1.0, 0.5, (2, layout.dim))
-            logp, _ = make_logp_and_grad(data, layout)(theta)
+            logp, _ = make_logp_and_grad(data)(theta)
             for c in range(2):
                 assert logp[c] == pytest.approx(
                     log_posterior_unconstrained(theta[c], data, layout), rel=1e-12
                 )
-
-    @pytest.mark.parametrize("layout", [
-        ParamLayout(8, 0, 2),  # fewer covariates: the fit would drop beta . x
-        ParamLayout(8, 2, 2),  # more: the first call would index past x
-        ParamLayout(7, 1, 2),
-        ParamLayout(8, 1, 3),
-    ])
-    def test_layout_must_match_dataset(self, layout):
-        data = _dataset([_obs(0, 1, 20.0, 0, [0.5]), _obs(1, 2, 35.0, 1, [-1.0])],
-                        n_pumps=2, n_covariates=1)
-        with pytest.raises(ModelError, match="layout does not match dataset"):
-            make_logp_and_grad(data, layout)
 
 
 def _random_dataset(rng, n_pumps=3, n_states=8, p=0, n_obs=None):
@@ -281,7 +269,7 @@ class TestGradient:
         data = _dataset([], n_pumps=2)
         layout = ParamLayout.for_dataset(data)
         theta = np.random.default_rng(5).normal(0, 1.0, layout.dim)
-        grad = make_logp_and_grad(data, layout)(theta[None])[1][0]
+        grad = make_logp_and_grad(data)(theta[None])[1][0]
         log_l0 = theta[layout.log_lambda0_slice]
         np.testing.assert_allclose(
             grad[layout.log_lambda0_slice], -(log_l0 + 5.0) / 4.0, rtol=1e-12
@@ -291,7 +279,7 @@ class TestGradient:
         data = _dataset([_obs(0, 1, 50.0, 1)], n_pumps=3)
         layout = ParamLayout.for_dataset(data)
         theta = np.random.default_rng(6).normal(0, 0.5, layout.dim)
-        grad = make_logp_and_grad(data, layout)(theta[None])[1][0]
+        grad = make_logp_and_grad(data)(theta[None])[1][0]
         u = theta[layout.u_raw_slice]
         np.testing.assert_allclose(grad[layout.u_raw_slice][1:], -u[1:], rtol=1e-12)
 
@@ -304,7 +292,7 @@ class TestGradient:
             theta = rng.normal(0.0, 0.7, layout.dim)
             theta[layout.log_lambda0_slice] = rng.normal(-4.5, 0.7, layout.n_states)
             theta[layout.zeta_index] = rng.normal(0.0, 0.2)
-            analytic = make_logp_and_grad(data, layout)(theta[None])[1][0]
+            analytic = make_logp_and_grad(data)(theta[None])[1][0]
             numeric = finite_difference_gradient(
                 lambda th: log_posterior_unconstrained(th, data, layout), theta
             )

@@ -539,6 +539,22 @@ class TestDiscover:
         with pytest.raises(InsufficientGroupError, match="9 members < 10 required for 5"):
             discover(small, LingamConfig(n_bootstrap=5))
 
+    def test_group_at_the_gate_can_have_no_usable_resample(self):
+        # a resample of n rows holds about 0.63 n distinct rows, fewer than
+        # 20 features plus the target need, so at the gate every resample
+        # of 20 independent uniform features can be singular
+        rows = min_members(20)
+        assert rows == 23
+        data = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 21))
+        group = GroupDataset(
+            group=Group.POSITIVE,
+            features=data[:, :20],
+            target=data[:, 20],
+            feature_names=tuple(f"f{j}" for j in range(20)),
+        )
+        with pytest.raises(LingamError, match="all 50 bootstrap resamples degenerate"):
+            discover(group, LingamConfig(n_bootstrap=50, seed=1, threads=1))
+
     def test_constant_feature_dropped(self):
         scenario = generate_lingam_scenario(8, rows=500)
         group = _group_from_scenario(scenario)

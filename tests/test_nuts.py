@@ -58,7 +58,7 @@ def _hazard_problem(seed=0, n_pumps=6, n_obs=60):
         n_pumps=n_pumps, n_states=8,
     )
     layout = ParamLayout.for_dataset(data)
-    return make_logp_and_grad(data, layout), layout
+    return make_logp_and_grad(data), layout
 
 
 def _one_row(batched_target):

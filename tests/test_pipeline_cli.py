@@ -301,6 +301,14 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "[fit]" in result.output
 
+    def test_byte_not_utf8_in_a_pump_id(self, tmp_path):
+        config_path, out = _write_config(tmp_path, out_name="bad_byte")
+        out.mkdir()
+        (out / "inspections.csv").write_bytes(b"pump_id,day,state\nP,0,1\nP,30,2\nQ\xff,0,1\n")
+        result = CliRunner().invoke(main, ["--config", str(config_path), "fit"])
+        assert result.exit_code == 2, result.output
+        assert "inspections.csv line 4: not UTF-8 text" in result.output
+
     def test_series_not_read_without_covariates(self, tmp_path):
         config_path, out = _write_config(
             tmp_path, out_name="nocov", hazard=["use_covariates = false"]

@@ -43,9 +43,10 @@ class TestHazardData:
         b = generate_hazard_data(SynthConfig(n_pumps=10), 4)
         for name in ("pump", "day", "state"):
             assert np.array_equal(getattr(a.inspections, name), getattr(b.inspections, name))
+        data_a, data_b = a.build.dataset, b.build.dataset
         for name in ("y", "dt", "k", "pump", "x"):
-            assert np.array_equal(getattr(a.dataset, name), getattr(b.dataset, name))
-        assert (a.dataset.n_pumps, a.dataset.n_states) == (b.dataset.n_pumps, b.dataset.n_states)
+            assert np.array_equal(getattr(data_a, name), getattr(data_b, name))
+        assert (data_a.n_pumps, data_a.n_states) == (data_b.n_pumps, data_b.n_states)
         np.testing.assert_array_equal(a.truth.u_true, b.truth.u_true)
         for name, writer, items_a, items_b in (
             ("i.csv", write_inspections_csv, a.inspections, b.inspections),
@@ -63,7 +64,7 @@ class TestHazardData:
             log_lambda0=(-5.0,) * 8, interval_min=90, interval_max=90,
         )
         synthesis = generate_hazard_data(config, 1)
-        y = synthesis.dataset.y
+        y = synthesis.build.dataset.y
         prob = -math.expm1(-math.exp(-5.0) * 90.0)
         n = len(y)
         sd = math.sqrt(prob * (1 - prob) / n)
@@ -72,7 +73,7 @@ class TestHazardData:
     def test_vanishing_hazard_no_transitions(self):
         config = SynthConfig(n_pumps=20, log_lambda0=(-20.0,) * 8)
         synthesis = generate_hazard_data(config, 2)
-        assert synthesis.dataset.y.sum() == 0
+        assert synthesis.build.dataset.y.sum() == 0
 
     def test_states_capped_and_consistent(self):
         config = SynthConfig(n_pumps=30, log_lambda0=(-3.0,) * 8)
@@ -93,7 +94,7 @@ class TestHazardData:
     def test_beta_covariates_enter_hazard(self):
         config = SynthConfig(n_pumps=40, beta=(1.5,))
         synthesis = generate_hazard_data(config, 6)
-        assert synthesis.dataset.n_covariates == 1
+        assert synthesis.build.dataset.n_covariates == 1
         assert len(synthesis.covariates) == 40
 
     def test_truth_beats_random_perturbations(self):
@@ -106,7 +107,7 @@ class TestHazardData:
             u_raw=truth.u_true / truth.sigma_u,
             sigma_u=truth.sigma_u,
         )
-        base = log_likelihood(params, synthesis.dataset)
+        base = log_likelihood(params, synthesis.build.dataset)
         rng = np.random.default_rng(123)
         wins = 0
         for _ in range(100):
@@ -119,7 +120,7 @@ class TestHazardData:
                 u_raw=(truth.u_true + du) / truth.sigma_u,
                 sigma_u=truth.sigma_u,
             )
-            wins += base > log_likelihood(perturbed, synthesis.dataset)
+            wins += base > log_likelihood(perturbed, synthesis.build.dataset)
         assert wins >= 95
 
 
