@@ -113,11 +113,11 @@ def report(ctx):
 
     def _build(c):
         run_report = build_report(c)
-        click.echo(f"groups: {run_report.groups}")
-        if run_report.gap_ratio is not None:
-            click.echo(f"effect magnitude gap ratio: {run_report.gap_ratio}")
-        if run_report.skipped_groups:
-            click.echo(f"skipped groups: {', '.join(run_report.skipped_groups)}")
+        click.echo(f"groups: {run_report['groups']}")
+        if run_report["gap_ratio"] is not None:
+            click.echo(f"effect magnitude gap ratio: {run_report['gap_ratio']}")
+        if run_report["skipped_groups"]:
+            click.echo(f"skipped groups: {', '.join(run_report['skipped_groups'])}")
         return []
 
     _execute(_build, cfg)

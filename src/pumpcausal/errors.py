@@ -13,10 +13,6 @@ class ConfigError(PumpcausalError):
     """Invalid configuration value or unresolvable path."""
 
 
-class ModelError(PumpcausalError):
-    """Dimension mismatch or invalid parameter value in the hazard model."""
-
-
 class SamplerError(PumpcausalError):
     """Sampler could not start (non-finite target after jittered retries)."""
 

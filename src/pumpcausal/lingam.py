@@ -15,7 +15,6 @@ effect i->j = standardized effect * sd_j / sd_i).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import InsufficientGroupError, LingamError
 from .grouping import GroupDataset, min_members
-from .tables import write_table
+from .tables import write_json, write_table
 
 CONSTANT_SD_TOL = 1e-12
 COLLINEAR_TOL = 1e-8  # pair is collinear when |corr| > 1 - COLLINEAR_TOL
@@ -459,10 +458,8 @@ def estimate_effects(
 
 @dataclass(frozen=True, eq=False)
 class BootstrapResult:
-    """Per-edge 95% percentile intervals in standardized and raw units."""
+    """Per-edge 95% percentile intervals in raw units, and sign stability."""
 
-    ci_low: np.ndarray
-    ci_high: np.ndarray
     ci_low_raw: np.ndarray
     ci_high_raw: np.ndarray
     sign_stability: np.ndarray
@@ -564,8 +561,6 @@ def bootstrap_cis(
         raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
     sign_stability = (np.sign(estimates) == np.sign(point_estimate)).mean(axis=0)
     return BootstrapResult(
-        ci_low=np.percentile(estimates, 2.5, axis=0),
-        ci_high=np.percentile(estimates, 97.5, axis=0),
         ci_low_raw=np.percentile(estimates_raw, 2.5, axis=0),
         ci_high_raw=np.percentile(estimates_raw, 97.5, axis=0),
         sign_stability=sign_stability,
@@ -671,8 +666,7 @@ def write_adjacency_csv(model: CausalModel, path: str | Path) -> None:
 
 
 def write_order_json(model: CausalModel, path: str | Path) -> None:
-    ordered = [model.variable_names[i] for i in model.causal_order]
-    Path(path).write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
+    write_json(path, [model.variable_names[i] for i in model.causal_order])
 
 
 def write_effects_csv(model: CausalModel, path: str | Path, top_k: int | None = None) -> None:
@@ -697,4 +691,4 @@ def write_discovery_json(model: CausalModel, path: str | Path, n_bootstrap: int)
             "n_unconverged": model.bootstrap.n_unconverged,
         },
     }
-    Path(path).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    write_json(path, record)

@@ -18,7 +18,6 @@ for all of them, and only the random draws and the stop masks are per chain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 from . import rng as rng_mod
 from .diagnostics import ess, split_rhat
 from .errors import SamplerError
-from .tables import write_table
+from .tables import write_json, write_table
 
 ENERGY_ERROR_THRESHOLD = 1000.0  # divergence cutoff on the Hamiltonian error
 ESS_PER_CHAIN = 400.0  # diagnostic_flags flags a min ESS below this per chain
@@ -588,6 +587,4 @@ def write_diagnostics_json(
     }
     if data is not None:
         payload["data"] = data
-    Path(path).write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    write_json(path, payload)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import json
 import time
 import typing
 from collections.abc import Callable
@@ -49,7 +48,7 @@ from .nuts import (
     write_draws_csv,
 )
 from .synth import SynthConfig, generate_hazard_data
-from .tables import read_json, read_table, write_table
+from .tables import read_json, read_table, write_json, write_table
 
 FILES = {
     "inspections": "inspections.csv",
@@ -406,7 +405,7 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
             lingam_mod.write_effects_csv(model, paths["effects"])
             lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
             lingam_mod.write_discovery_json(model, paths["discovery"], cfg.n_bootstrap)
-        return _discovery_flags(build_report(cfg).skipped_groups)
+        return _discovery_flags(build_report(cfg)["skipped_groups"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +431,9 @@ def _read_effects_csv(path: Path) -> list[dict]:
     ]
 
 
-@dataclass
-class RunReport:
-    sampler: dict
-    groups: dict
-    effects: dict
-    gap_ratio: float | None
-    skipped_groups: list[str]
-    discovery: dict
-
-
-def build_report(cfg: PipelineConfig) -> RunReport:
-    """Assemble the run report purely from persisted stage artifacts; a
-    group without ``effects_<group>.csv`` was skipped."""
+def build_report(cfg: PipelineConfig) -> dict:
+    """Assemble the run report purely from persisted stage artifacts, write
+    it and return it; a group without ``effects_<group>.csv`` was skipped."""
     with _stage_guard("report"):
         diag_path = cfg.path("diagnostics")
         sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
@@ -478,18 +467,15 @@ def build_report(cfg: PipelineConfig) -> RunReport:
         # is not zero: a zero there makes the ratio infinite or 0/0
         lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
         gap_ratio = hi / lo if lo > 0.0 else None
-        report = RunReport(
-            sampler=sampler_summary,
-            groups=groups_summary,
-            effects=effects,
-            gap_ratio=gap_ratio,
-            skipped_groups=sorted(skipped_groups),
-            discovery=discovery,
-        )
-        cfg.path("report").write_text(
-            json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        report = {
+            "sampler": sampler_summary,
+            "groups": groups_summary,
+            "effects": effects,
+            "gap_ratio": gap_ratio,
+            "skipped_groups": sorted(skipped_groups),
+            "discovery": discovery,
+        }
+        write_json(cfg.path("report"), report)
         return report
 
 
@@ -583,9 +569,7 @@ def _record_stage(cfg: PipelineConfig, manifest: dict, stage: Stage) -> None:
         if path.exists():
             outputs[path.name] = _sha256_file(path)
     manifest[stage.name] = {"inputs": _stage_signature(cfg, stage), "outputs": outputs}
-    cfg.path("manifest").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(cfg.path("manifest"), manifest)
 
 
 def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
@@ -613,8 +597,6 @@ def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
         timings["failed_stage"] = stage.name
         raise
     finally:
-        cfg.path("timings").write_text(
-            json.dumps(timings, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(cfg.path("timings"), timings)
     report = read_json(cfg.path("report"))
     return list(report["sampler"].get("flags", [])) + _discovery_flags(report["skipped_groups"])

@@ -13,7 +13,6 @@ argument (see ``rng``), so generated datasets are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .data import (
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .grouping import Group
+from .tables import write_json
 
 DEFAULT_LOG_LAMBDA0 = -4.5  # gives informative per-interval transition rates
 SCENARIO_FEATURES = (
@@ -48,7 +48,7 @@ SEM_WEIGHT_LOW, SEM_WEIGHT_HIGH = 0.5, 1.5  # edge magnitudes of generate_sem_da
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_pumps: int = 30
+    n_pumps: int = 112  # the paper's fleet
     sigma_u: float = 1.0
     log_lambda0: tuple[float, ...] | None = None  # None -> flat default per state
     beta: tuple[float, ...] = ()  # at most one: the series' effect on the hazard
@@ -93,7 +93,7 @@ class GroundTruth:
             "beta": [float(v) for v in self.beta],
             "sigma_u": float(self.sigma_u),
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, payload)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 """The CSV format of every input file and artifact: one reader, one writer;
-and the one reader of the JSON artifacts.
+and the one reader and writer of the JSON artifacts.
 
 A table is a header line, then one line per row of comma-separated fields,
 quoted as ``csv`` quotes them.  The first field of a row is its key (a pump
 id, a feature name); the others are integers, numbers or labels.  Floats are
 written as ``repr(float(v))``, the shortest text that reads back to the same
-value, so every table round-trips exactly.
+value, so every table round-trips exactly.  A JSON artifact is strict JSON (no
+``NaN`` or ``Infinity``), indented by two spaces, with one final newline.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ _DTYPES = {int: np.int64, float: np.float64}  # any other kind is an Enum of lab
 class Table:
     """A parsed table; row r of every column is line r + 2 of the file.
 
-    Parsing stops at the first malformed line, so the columns hold the rows
-    before it and ``errors`` names it.
+    Parsing stops at the first malformed line, so the columns and ``keys``
+    hold the rows before it and ``errors`` names it.
     """
 
     path: Path
     header: tuple[str, ...]
-    keys: list[str]  # distinct first fields, in first-appearance order
+    keys: list[str]  # distinct first fields of the parsed rows, in first-appearance order
     columns: tuple[np.ndarray, ...]  # each row's key index, then each other field
     errors: list[tuple[int, str]]  # (line, message); line 0 is the file itself
 
@@ -185,8 +186,11 @@ def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) 
         errors.append((0, "file not found"))
     except OSError as exc:
         errors.append((0, f"cannot read ({exc.strerror})"))
-    columns = columns or _columns(_row_type(names, kinds)[1], 0)  # the file was not read
-    return Table(path, tuple(names), list(codes), tuple(c[:filled] for c in columns), errors)
+    columns = tuple(c[:filled] for c in columns or _columns(_row_type(names, kinds)[1], 0))
+    # a malformed line's key may have taken a code; the parsed rows hold a
+    # prefix of the codes, since keys are coded in order of appearance
+    n_keys = int(columns[0].max()) + 1 if filled else 0
+    return Table(path, tuple(names), list(codes)[:n_keys], columns, errors)
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -197,6 +201,11 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
         )
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` as a JSON artifact; a NaN or infinity is a ValueError."""
+    Path(path).write_text(json.dumps(value, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path):

@@ -253,8 +253,6 @@ def lingam_bootstrap_serial(
     std = np.stack([f[0] for f in fits])
     raw = np.stack([f[1] for f in fits])
     return {
-        "ci_low": np.percentile(std, 2.5, axis=0),
-        "ci_high": np.percentile(std, 97.5, axis=0),
         "ci_low_raw": np.percentile(raw, 2.5, axis=0),
         "ci_high_raw": np.percentile(raw, 97.5, axis=0),
         "sign_stability": (np.sign(std) == np.sign(point_estimate)).mean(axis=0),
@@ -280,16 +278,14 @@ class ModelParams:
     sigma_u: float
 
     def __post_init__(self):
-        from pumpcausal.errors import ModelError
-
         object.__setattr__(self, "log_lambda0", np.asarray(self.log_lambda0, float))
         object.__setattr__(self, "beta", np.asarray(self.beta, float))
         object.__setattr__(self, "u_raw", np.asarray(self.u_raw, float))
         if self.sigma_u <= 0:
-            raise ModelError(f"sigma_u must be positive, got {self.sigma_u}")
+            raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
         for name in ("log_lambda0", "beta", "u_raw"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ModelError(f"non-finite entry in {name}")
+                raise ValueError(f"non-finite entry in {name}")
 
     @property
     def u(self) -> np.ndarray:
@@ -299,25 +295,21 @@ class ModelParams:
 
 def pack(layout, params: ModelParams) -> np.ndarray:
     """Flat unconstrained vector [log_lambda0, beta, u_raw, log(sigma_u)]."""
-    from pumpcausal.errors import ModelError
-
     if (
         len(params.log_lambda0) != layout.n_states
         or len(params.beta) != layout.n_covariates
         or len(params.u_raw) != layout.n_pumps
     ):
-        raise ModelError("parameter blocks do not match layout")
+        raise ValueError("parameter blocks do not match layout")
     return np.concatenate(
         [params.log_lambda0, params.beta, params.u_raw, [math.log(params.sigma_u)]]
     )
 
 
 def unpack(layout, theta: np.ndarray) -> ModelParams:
-    from pumpcausal.errors import ModelError
-
     theta = np.asarray(theta, float)
     if theta.shape != (layout.dim,):
-        raise ModelError(f"expected vector of length {layout.dim}, got {theta.shape}")
+        raise ValueError(f"expected vector of length {layout.dim}, got {theta.shape}")
     return ModelParams(
         log_lambda0=theta[layout.log_lambda0_slice].copy(),
         beta=theta[layout.beta_slice].copy(),
@@ -328,24 +320,21 @@ def unpack(layout, theta: np.ndarray) -> ModelParams:
 
 def hazard_rate(params: ModelParams, k: int, x: np.ndarray, i: int) -> float:
     """Hazard for pump i in (1-based) state k given covariates x."""
-    from pumpcausal.errors import ModelError
-
     if not 1 <= k <= len(params.log_lambda0):
-        raise ModelError(f"state {k} outside 1..{len(params.log_lambda0)}")
+        raise ValueError(f"state {k} outside 1..{len(params.log_lambda0)}")
     x = np.asarray(x, float)
     if x.shape != params.beta.shape:
-        raise ModelError(f"covariate length {x.shape} != {params.beta.shape}")
+        raise ValueError(f"covariate length {x.shape} != {params.beta.shape}")
     eta = params.log_lambda0[k - 1] + float(params.beta @ x) + params.u_raw[i] * params.sigma_u
     return math.exp(eta)
 
 
 def transition_prob(lam: float, delta_t: float) -> float:
     """P(state advance within delta_t) = 1 - exp(-lam*dt), clamped off 0/1."""
-    from pumpcausal.errors import ModelError
     from pumpcausal.hazard import PROB_FLOOR
 
     if lam <= 0 or delta_t <= 0:
-        raise ModelError("transition_prob requires lam > 0 and delta_t > 0")
+        raise ValueError("transition_prob requires lam > 0 and delta_t > 0")
     p = -math.expm1(-lam * delta_t)
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
@@ -356,7 +345,6 @@ def log_likelihood(params: ModelParams, data) -> float:
     Uses log(1-p) = -lam*dt on the y=0 branch and log1p(-exp(-lam*dt)) on
     the y=1 branch, so values stay finite for lam*dt up to ~700.
     """
-    from pumpcausal.errors import ModelError
     from pumpcausal.hazard import MAX_LOG_EXPOSURE, PROB_FLOOR
 
     if (
@@ -364,7 +352,7 @@ def log_likelihood(params: ModelParams, data) -> float:
         or len(params.beta) != data.n_covariates
         or len(params.u_raw) != data.n_pumps
     ):
-        raise ModelError("parameter dimensions do not match dataset")
+        raise ValueError("parameter dimensions do not match dataset")
     total = 0.0
     for y, dt, k, pump, x in zip(data.y, data.dt, data.k, data.pump, data.x):
         eta = params.log_lambda0[k] + params.u_raw[pump] * params.sigma_u

@@ -144,7 +144,7 @@ def test_criterion_2_sampler_calibration():
 
 
 def _fit_synthetic(seed: int):
-    synthesis = generate_hazard_data(SynthConfig(), seed)
+    synthesis = generate_hazard_data(SynthConfig(n_pumps=30), seed)
     layout = ParamLayout.for_dataset(synthesis.build.dataset)
     target = make_logp_and_grad(synthesis.build.dataset)
     samples = sample(
@@ -365,7 +365,7 @@ def test_criterion_7_bootstrap_coverage():
 
 
 def _fit_artifacts(out_dir: Path) -> PipelineConfig:
-    cfg = PipelineConfig(out_dir=out_dir, seed=0, threads=1)
+    cfg = PipelineConfig(out_dir=out_dir, seed=0, threads=1, synth=SynthConfig(n_pumps=30))
     run_synth(cfg)
     run_fit(cfg)
     return cfg

@@ -488,7 +488,27 @@ class TestTables:
         monkeypatch.setattr(tables, "_BLOCK_LINES", block_lines)
         path = _write(tmp_path, "t.csv", 'key,value\na,1\nb,"2\nc",3\n')
         table = tables.read_table(path, ["key", "value"], (float,))
-        assert table.errors == [(3, "malformed line")] and table.keys[:1] == ["a"]
+        assert table.errors == [(3, "malformed line")] and table.keys == ["a"]
+
+    @pytest.mark.parametrize(
+        "text, keys, line",
+        [("key,value\na,1\nb,x\n", ["a"], 3), ("key,value\na,1\na,x\n", ["a"], 3),
+         ("key,value\nb,x\n", [], 2)],
+    )
+    def test_keys_are_those_of_parsed_rows(self, tmp_path, text, keys, line):
+        # the malformed line's key is not kept, though its line was read
+        table = tables.read_table(_write(tmp_path, "t.csv", text), ["key", "value"], (int,))
+        assert table.keys == keys and table.columns[1].tolist() == [1] * len(keys)
+        assert table.errors == [(line, "value 'x' is not an integer")]
+
+    def test_write_json_is_strict(self, tmp_path):
+        path = tmp_path / "t.json"
+        tables.write_json(path, {"x": [1.5, None]})
+        assert path.read_text(encoding="utf-8") == '{\n  "x": [\n    1.5,\n    null\n  ]\n}\n'
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                tables.write_json(path, {"x": [value]})
+        assert tables.read_json(path) == {"x": [1.5, None]}  # left as it was
 
     def test_columns_keys_and_variable_header(self, tmp_path):
         path = tmp_path / "t.csv"

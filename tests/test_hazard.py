@@ -18,7 +18,6 @@ from oracles import (
     unpack,
 )
 from pumpcausal.data import Dataset
-from pumpcausal.errors import ModelError
 from pumpcausal.hazard import ParamLayout, make_logp_and_grad
 
 
@@ -73,7 +72,7 @@ class TestHazardRate:
         assert hazard_rate(params, 1, np.empty(0), 0) == pytest.approx(4.55, abs=0.005)
 
     def test_state_bounds_checked(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError, match=r"state 9 outside 1\.\.8"):
             hazard_rate(_params(), 9, np.empty(0), 0)
 
 

@@ -373,7 +373,6 @@ class TestBootstrap:
     def test_single_resample_degenerate_ci(self):
         x = self._pair_data(0)
         boot = bootstrap_cis(x, self._POINT, n_resamples=1, config=LingamConfig(seed=0))
-        np.testing.assert_array_equal(boot.ci_low, boot.ci_high)
         np.testing.assert_array_equal(boot.ci_low_raw, boot.ci_high_raw)
 
     def test_strong_effect_ci_excludes_zero(self):
@@ -433,7 +432,7 @@ class TestBootstrap:
         oracle = lingam_bootstrap_serial(
             x, n_resamples, seed, point, lingam_mod.ICA_TOL, lingam_mod.ICA_MAX_ITER
         )
-        for name in ("ci_low", "ci_high", "ci_low_raw", "ci_high_raw", "sign_stability"):
+        for name in ("ci_low_raw", "ci_high_raw", "sign_stability"):
             np.testing.assert_allclose(getattr(boot, name), oracle[name], rtol=0, atol=1e-9)
         assert (boot.n_flagged, boot.n_unconverged) == (
             oracle["n_flagged"], oracle["n_unconverged"]

@@ -28,6 +28,7 @@ from pumpcausal.pipeline import (
     run_synth,
 )
 from pumpcausal.rng import worker_count
+from pumpcausal.tables import read_json
 
 SMALL_CONFIG = """
 [pipeline]
@@ -370,6 +371,32 @@ class TestPipelineCommand:
         # effects on u are all zero and the gap ratio is undefined
         assert report["groups"]["positive"]["count"] > 0
         assert report["gap_ratio"] is None
+
+    def test_every_json_artifact_is_strict(self, pipeline_run):
+        _, out, _ = pipeline_run
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        names = {path.name for path in out.glob("*.json")}
+        assert names >= {
+            "ground_truth.json", "diagnostics.json", "report.json", "manifest.json",
+            "timings.json", *(f"{kind}_{g}.json" for kind in ("order", "discovery")
+                              for g in ("positive", "negative")),
+        }
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            json.loads(text, parse_constant=reject)
+            assert text.endswith("\n") and not text.endswith("\n\n"), name
+
+    def test_build_report_returns_what_it_writes(self, pipeline_run):
+        config_path, _, _ = pipeline_run
+        cfg = load_config(config_path)
+        report = build_report(cfg)
+        assert report == read_json(cfg.path("report"))
+        assert list(report) == [
+            "sampler", "groups", "effects", "gap_ratio", "skipped_groups", "discovery"
+        ]
 
     def test_diagnostics_record_chains_and_data(self, pipeline_run):
         _, out, _ = pipeline_run

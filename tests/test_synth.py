@@ -10,6 +10,7 @@ from pumpcausal.data import write_inspections_csv, write_timeseries_csv
 from pumpcausal.errors import ConfigError
 from pumpcausal.grouping import Group
 from pumpcausal.synth import (
+    GroundTruth,
     SynthConfig,
     generate_hazard_data,
     generate_lingam_scenario,
@@ -38,6 +39,13 @@ class TestConfig:
 
 
 class TestHazardData:
+    def test_ground_truth_with_nan_not_written(self, tmp_path):
+        truth = GroundTruth(
+            u_true=np.array([0.5, np.nan]), log_lambda0=np.zeros(8), beta=np.empty(0), sigma_u=1.0
+        )
+        with pytest.raises(ValueError):
+            truth.write(tmp_path / "ground_truth.json")
+
     def test_seed_determinism(self, tmp_path):
         a = generate_hazard_data(SynthConfig(n_pumps=10), 4)
         b = generate_hazard_data(SynthConfig(n_pumps=10), 4)
