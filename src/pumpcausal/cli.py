@@ -2,19 +2,22 @@
 
 There is one subcommand per row of ``pipeline.STAGES``, plus ``pipeline`` and
 ``report``; global flags select the config file, seed, output directory, and
-thread count.  Exit codes: 0 success, 1 validation error, 2 stage failure,
-3 success with diagnostic warnings (sampler diagnostics, or no group large
-enough for discovery).
+thread count.  Exit codes: 0 success, 1 validation error (a bad setting or
+a malformed command line), 2 stage failure (a file that cannot be read or
+written included), 3 success with diagnostic warnings (sampler diagnostics,
+or no group large enough for discovery).
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
+from contextlib import contextmanager
 
 import click
 
 from .errors import ConfigError, PumpcausalError
-from .pipeline import STAGES, PipelineConfig, build_report, load_config, run_pipeline
+from .pipeline import STAGES, PipelineConfig, build_report, load_config, run_pipeline, stage_guard
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -22,7 +25,31 @@ EXIT_STAGE = 2
 EXIT_WARNINGS = 3
 
 
-@click.group()
+@contextmanager
+def _validation_exit():
+    """Give a malformed command line the exit code of a validation error;
+    click's own code for it, 2, is that of a failed stage here."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_VALIDATION
+        raise
+
+
+class _Commands(click.Group):
+    """The command group: click's usage errors exit with code 1, whether
+    they are in the global flags, the subcommand's name or its flags."""
+
+    def make_context(self, *args, **kwargs):
+        with _validation_exit():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _validation_exit():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Commands)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="INI config file; omitted keys use documented defaults.")
 @click.option("--seed", type=int, default=None, help="Global seed override.")
@@ -33,41 +60,24 @@ EXIT_WARNINGS = 3
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, threads):
     """Deterioration analytics: hazard fit, features, groups, causal discovery."""
-    ctx.obj = {
-        "config_path": config_path,
-        "seed": seed,
-        "out_dir": out_dir,
-        "threads": threads,
-    }
+    ctx.obj = {"path": config_path, "seed": seed, "out_dir": out_dir, "threads": threads}
 
 
-def _config(ctx) -> PipelineConfig:
-    opts = ctx.obj
+def _run(ctx, action: Callable[[PipelineConfig], list[str] | None]) -> None:
+    """Build the config from the global flags and run ``action`` on it.
+
+    A bad setting exits 1 and a failed stage 2, each with its message;
+    otherwise each diagnostic flag ``action`` returns is printed, and any
+    flag means exit code 3.
+    """
     try:
-        return load_config(
-            opts["config_path"],
-            seed=opts["seed"],
-            out_dir=opts["out_dir"],
-            threads=opts["threads"],
-        )
-    except ConfigError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-
-
-def _execute(stage_fn, cfg) -> list[str]:
-    try:
-        return stage_fn(cfg) or []
+        flags = action(load_config(**ctx.obj)) or []
     except ConfigError as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except PumpcausalError as exc:
         click.echo(f"stage failure: {exc}", err=True)
         sys.exit(EXIT_STAGE)
-
-
-def _report_flags(flags: list[str]) -> None:
-    """Print each diagnostic flag; any flag means exit code 3."""
     for flag in flags:
         click.echo(f"warning: {flag}", err=True)
     if flags:
@@ -77,16 +87,14 @@ def _report_flags(flags: list[str]) -> None:
 def _stage_command(stage) -> click.Command:
     """The subcommand that runs ``stage`` alone from cached artifacts."""
 
-    @click.pass_context
-    def command(ctx):
-        cfg = _config(ctx)
-        flags = _execute(stage.run, cfg)
+    def action(cfg):
+        with stage_guard(stage.name):
+            flags = stage.run(cfg)
         click.echo(f"{stage.name} artifacts written to {cfg.out_dir}")
-        _report_flags(flags)
+        return flags
 
-    return click.Command(
-        stage.name, callback=command, help=stage.run.__doc__.splitlines()[0]
-    )
+    command = click.pass_context(lambda ctx: _run(ctx, action))
+    return click.Command(stage.name, callback=command, help=stage.run.__doc__.splitlines()[0])
 
 
 for _stage in STAGES:
@@ -99,29 +107,31 @@ for _stage in STAGES:
 @click.pass_context
 def pipeline(ctx, no_cache):
     """Run all stages in sequence with artifact caching."""
-    cfg = _config(ctx)
-    flags = _execute(lambda c: run_pipeline(c, use_cache=not no_cache), cfg)
-    click.echo(f"pipeline artifacts written to {cfg.out_dir}")
-    _report_flags(flags)
+
+    def action(cfg):
+        flags = run_pipeline(cfg, use_cache=not no_cache)
+        click.echo(f"pipeline artifacts written to {cfg.out_dir}")
+        return flags
+
+    _run(ctx, action)
 
 
 @main.command()
 @click.pass_context
 def report(ctx):
     """Recompute the run report from persisted stage artifacts."""
-    cfg = _config(ctx)
 
-    def _build(c):
-        run_report = build_report(c)
+    def action(cfg):
+        with stage_guard("report"):
+            run_report = build_report(cfg)
         click.echo(f"groups: {run_report['groups']}")
         if run_report["gap_ratio"] is not None:
             click.echo(f"effect magnitude gap ratio: {run_report['gap_ratio']}")
         if run_report["skipped_groups"]:
             click.echo(f"skipped groups: {', '.join(run_report['skipped_groups'])}")
-        return []
+        click.echo(f"report written to {cfg.path('report')}")
 
-    _execute(_build, cfg)
-    click.echo(f"report written to {cfg.path('report')}")
+    _run(ctx, action)
 
 
 if __name__ == "__main__":

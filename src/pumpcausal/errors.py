@@ -26,8 +26,7 @@ class InsufficientGroupError(LingamError):
 
 
 class StageError(PumpcausalError):
-    """A pipeline stage failed; carries the stage name."""
+    """A pipeline stage failed; the message starts with the stage's name."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage

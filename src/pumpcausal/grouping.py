@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import DataError
 from .features import FeatureMatrix
-
-logger = logging.getLogger(__name__)
 
 
 class Group(str, Enum):
@@ -71,7 +69,7 @@ def group_datasets(
     for group in Group:
         rows = np.flatnonzero(groups == group)
         if not len(rows):
-            logger.warning("group %s is empty", group.value)
+            warnings.warn(f"group {group.value} is empty")
         out.append(
             GroupDataset(
                 group=group,

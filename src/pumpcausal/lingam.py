@@ -463,6 +463,7 @@ class BootstrapResult:
     ci_low_raw: np.ndarray
     ci_high_raw: np.ndarray
     sign_stability: np.ndarray
+    n_resamples: int
     n_flagged: int  # resamples whose fit failed, left out of the intervals
     n_unconverged: int  # resamples whose FastICA hit the iteration cap
 
@@ -564,6 +565,7 @@ def bootstrap_cis(
         ci_low_raw=np.percentile(estimates_raw, 2.5, axis=0),
         ci_high_raw=np.percentile(estimates_raw, 97.5, axis=0),
         sign_stability=sign_stability,
+        n_resamples=n_resamples,
         n_flagged=n_resamples - len(fit_converged),
         n_unconverged=int(np.sum(~fit_converged)),
     )
@@ -680,13 +682,13 @@ def write_effects_csv(model: CausalModel, path: str | Path, top_k: int | None = 
     )
 
 
-def write_discovery_json(model: CausalModel, path: str | Path, n_bootstrap: int) -> None:
+def write_discovery_json(model: CausalModel, path: str | Path) -> None:
     """How the group's discovery went: dropped columns, ICA, bootstrap."""
     record = {
         "dropped_columns": model.dropped_columns,
         "ica": {"iterations": model.ica.n_iter, "converged": model.ica.converged},
         "bootstrap": {
-            "n_resamples": n_bootstrap,
+            "n_resamples": model.bootstrap.n_resamples,
             "n_flagged": model.bootstrap.n_flagged,
             "n_unconverged": model.bootstrap.n_unconverged,
         },

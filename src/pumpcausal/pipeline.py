@@ -3,9 +3,10 @@
 Each stage reads and writes files under the output directory, so any stage
 can be re-run from cached upstream artifacts.  ``STAGES`` lists the stages,
 one row each with its runner, files and cache-keying settings.  The pipeline
-command hashes stage inputs into a manifest and skips a stage whose inputs
-and outputs are both unchanged; a corrupted or missing output invalidates the
-cache entry.
+command records each stage's cache key and output digests in a manifest and
+skips a stage whose record still holds: a changed input or setting, or an
+output that is corrupted, missing or not left by the stage's last run,
+re-runs it.
 
 All outputs are byte-deterministic for fixed (inputs, config, seed) except
 ``timings.json``, the only timing-bearing artifact.
@@ -19,7 +20,7 @@ import hashlib
 import time
 import typing
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +117,8 @@ class PipelineConfig:
         unknown = [n for n in self.active_features if n not in features_mod.FEATURE_NAMES]
         if unknown:
             raise ConfigError(f"unknown active features: {unknown}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
         if self.threads < 0:
@@ -232,14 +235,16 @@ def load_config(
 
 
 @contextmanager
-def _stage_guard(stage: str):
-    """Re-raise package errors with the failing stage's label."""
+def stage_guard(label: str):
+    """Re-raise a package error, or an OSError with the file it names, as a
+    StageError labelled ``label``, the stage or command that failed."""
     try:
         yield
-    except StageError:
-        raise
     except PumpcausalError as exc:
-        raise StageError(stage, str(exc)) from exc
+        raise StageError(label, str(exc)) from exc
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        raise StageError(label, f"{where}{exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +254,10 @@ def _stage_guard(stage: str):
 
 def run_synth(cfg: PipelineConfig) -> None:
     """Write synthetic inspections, timeseries, and ground truth."""
-    with _stage_guard("synth"):
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        synthesis = generate_hazard_data(cfg.synth, cfg.seed)
-        data_mod.write_inspections_csv(synthesis.inspections, cfg.path("inspections"))
-        data_mod.write_timeseries_csv(synthesis.covariates, cfg.path("timeseries"))
-        synthesis.truth.write(cfg.path("ground_truth"))
+    synthesis = generate_hazard_data(cfg.synth, cfg.seed)
+    data_mod.write_inspections_csv(synthesis.inspections, cfg.path("inspections"))
+    data_mod.write_timeseries_csv(synthesis.covariates, cfg.path("timeseries"))
+    synthesis.truth.write(cfg.path("ground_truth"))
 
 
 def run_fit(cfg: PipelineConfig) -> list[str]:
@@ -263,52 +265,43 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
 
     Returns the sampler's soft diagnostic flags.
     """
-    with _stage_guard("fit"):
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        inspections = data_mod.ingest_inspections(cfg.inspections_path())
-        covariates = (
-            data_mod.ingest_timeseries(cfg.timeseries_path()) if cfg.use_covariates else []
-        )
-        build = data_mod.build_transitions(inspections, covariates)
-        data_mod.write_transitions_csv(build.dataset, cfg.path("transitions"))
-        layout = ParamLayout.for_dataset(build.dataset)
-        target = make_logp_and_grad(build.dataset)
-        samples = sample(
-            target, layout.dim, cfg.sampler_config(), init_center=layout.prior_center()
-        )
-        names = layout.names()
-        write_draws_csv(samples, names, cfg.path("draws"))
-        data_record = {
-            "n_records": len(inspections),
-            "n_transitions": len(build.dataset),
-            "dropped_decrease": build.dropped_decrease,
-            "dropped_absorbing": build.dropped_absorbing,
-        }
-        write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
-        u_columns = extract_random_effects(samples, layout)
-        write_table(
-            cfg.path("u_estimates"),
-            U_ESTIMATES_HEADER,
-            zip(build.pump_ids, *(c.tolist() for c in u_columns)),
-        )
-        return diagnostic_flags(samples)
+    inspections = data_mod.ingest_inspections(cfg.inspections_path())
+    covariates = data_mod.ingest_timeseries(cfg.timeseries_path()) if cfg.use_covariates else []
+    build = data_mod.build_transitions(inspections, covariates)
+    data_mod.write_transitions_csv(build.dataset, cfg.path("transitions"))
+    layout = ParamLayout.for_dataset(build.dataset)
+    target = make_logp_and_grad(build.dataset)
+    samples = sample(target, layout.dim, cfg.sampler_config(), init_center=layout.prior_center())
+    names = layout.names()
+    write_draws_csv(samples, names, cfg.path("draws"))
+    data_record = {
+        "n_records": len(inspections),
+        "n_transitions": len(build.dataset),
+        "dropped_decrease": build.dropped_decrease,
+        "dropped_absorbing": build.dropped_absorbing,
+    }
+    write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
+    u_columns = extract_random_effects(samples, layout)
+    write_table(
+        cfg.path("u_estimates"),
+        U_ESTIMATES_HEADER,
+        zip(build.pump_ids, *(c.tolist() for c in u_columns)),
+    )
+    return diagnostic_flags(samples)
 
 
 def run_features(cfg: PipelineConfig) -> None:
     """Extract the active feature set from each pump's trailing window."""
-    with _stage_guard("features"):
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        series = data_mod.ingest_timeseries(cfg.timeseries_path())
-        if not series:
-            raise DataError(f"{cfg.timeseries_path()}: no series to extract features from")
-        window_end = cfg.feature_window_end
-        if window_end is None:
-            window_end = min(s.end_day - 1 for s in series)
-        matrix = features_mod.extract_features(
-            series, window_end, cfg.feature_window, cfg.active_features
-        )
-        features_mod.write_features_csv(matrix, cfg.path("features"))
+    series = data_mod.ingest_timeseries(cfg.timeseries_path())
+    if not series:
+        raise DataError(f"{cfg.timeseries_path()}: no series to extract features from")
+    window_end = cfg.feature_window_end
+    if window_end is None:
+        window_end = min(s.end_day - 1 for s in series)
+    matrix = features_mod.extract_features(
+        series, window_end, cfg.feature_window, cfg.active_features
+    )
+    features_mod.write_features_csv(matrix, cfg.path("features"))
 
 
 def _read_per_pump(cfg: PipelineConfig, key: str):
@@ -340,13 +333,12 @@ def _read_with_features(cfg: PipelineConfig, key: str):
 
 def run_group(cfg: PipelineConfig) -> None:
     """Assign pumps to sign groups and persist the assignment."""
-    with _stage_guard("group"):
-        matrix, (u_mean, _, _) = _read_with_features(cfg, "u_estimates")
-        write_table(
-            cfg.path("groups"),
-            GROUPS_HEADER,
-            zip(matrix.pump_ids, u_mean.tolist(), [g.value for g in sign_groups(u_mean)]),
-        )
+    matrix, (u_mean, _, _) = _read_with_features(cfg, "u_estimates")
+    write_table(
+        cfg.path("groups"),
+        GROUPS_HEADER,
+        zip(matrix.pump_ids, u_mean.tolist(), [g.value for g in sign_groups(u_mean)]),
+    )
 
 
 def _write_u_hist(u_mean: np.ndarray, groups: np.ndarray, path: Path) -> None:
@@ -390,22 +382,21 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
     enough to analyse.  A skipped group leaves no artifact, which is how the
     report finds it.
     """
-    with _stage_guard("discover"):
-        matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
-        _write_u_hist(u_mean, groups, cfg.path("u_hist"))
-        for group_data in group_datasets(matrix, u_mean, groups):
-            paths = group_artifact_paths(cfg, group_data.group)
-            if group_data.count < min_members(len(group_data.feature_names)):
-                for stale in paths.values():
-                    stale.unlink(missing_ok=True)
-                continue
-            model = lingam_mod.discover(group_data, cfg.lingam_config())
-            lingam_mod.write_adjacency_csv(model, paths["adjacency"])
-            lingam_mod.write_order_json(model, paths["order"])
-            lingam_mod.write_effects_csv(model, paths["effects"])
-            lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
-            lingam_mod.write_discovery_json(model, paths["discovery"], cfg.n_bootstrap)
-        return _discovery_flags(build_report(cfg)["skipped_groups"])
+    matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
+    _write_u_hist(u_mean, groups, cfg.path("u_hist"))
+    for group_data in group_datasets(matrix, u_mean, groups):
+        paths = group_artifact_paths(cfg, group_data.group)
+        if group_data.count < min_members(len(group_data.feature_names)):
+            for stale in paths.values():
+                stale.unlink(missing_ok=True)
+            continue
+        model = lingam_mod.discover(group_data, cfg.lingam_config())
+        lingam_mod.write_adjacency_csv(model, paths["adjacency"])
+        lingam_mod.write_order_json(model, paths["order"])
+        lingam_mod.write_effects_csv(model, paths["effects"])
+        lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
+        lingam_mod.write_discovery_json(model, paths["discovery"])
+    return _discovery_flags(build_report(cfg)["skipped_groups"])
 
 
 # ---------------------------------------------------------------------------
@@ -434,49 +425,46 @@ def _read_effects_csv(path: Path) -> list[dict]:
 def build_report(cfg: PipelineConfig) -> dict:
     """Assemble the run report purely from persisted stage artifacts, write
     it and return it; a group without ``effects_<group>.csv`` was skipped."""
-    with _stage_guard("report"):
-        diag_path = cfg.path("diagnostics")
-        sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
-        _, u_mean, groups = _read_per_pump(cfg, "groups").columns
-        groups_summary = {}
-        for group in Group:
-            u = u_mean[groups == group]
-            groups_summary[group.value] = {
-                "count": len(u),
-                "share": len(u) / len(u_mean),
-                "u_min": float(u.min()) if len(u) else None,
-                "u_max": float(u.max()) if len(u) else None,
-            }
-        effects: dict[str, list[dict]] = {}
-        max_effect: dict[str, float] = {}
-        discovery: dict[str, dict] = {}
-        skipped_groups: list[str] = []
-        for group in Group:
-            paths = group_artifact_paths(cfg, group)
-            if not paths["effects"].exists():
-                skipped_groups.append(group.value)
-                continue
-            table = _read_effects_csv(paths["effects"])
-            if paths["discovery"].exists():
-                discovery[group.value] = read_json(paths["discovery"])
-            effects[group.value] = table[: cfg.top_k]
-            max_effect[group.value] = max(
-                (abs(r["effect"]) for r in table), default=0.0
-            )
-        # null unless both groups were analysed and the smaller largest effect
-        # is not zero: a zero there makes the ratio infinite or 0/0
-        lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
-        gap_ratio = hi / lo if lo > 0.0 else None
-        report = {
-            "sampler": sampler_summary,
-            "groups": groups_summary,
-            "effects": effects,
-            "gap_ratio": gap_ratio,
-            "skipped_groups": sorted(skipped_groups),
-            "discovery": discovery,
+    diag_path = cfg.path("diagnostics")
+    sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
+    _, u_mean, groups = _read_per_pump(cfg, "groups").columns
+    groups_summary = {}
+    for group in Group:
+        u = u_mean[groups == group]
+        groups_summary[group.value] = {
+            "count": len(u),
+            "share": len(u) / len(u_mean),
+            "u_min": float(u.min()) if len(u) else None,
+            "u_max": float(u.max()) if len(u) else None,
         }
-        write_json(cfg.path("report"), report)
-        return report
+    effects: dict[str, list[dict]] = {}
+    max_effect: dict[str, float] = {}
+    discovery: dict[str, dict] = {}
+    skipped_groups: list[str] = []
+    for group in Group:
+        paths = group_artifact_paths(cfg, group)
+        if not paths["effects"].exists():
+            skipped_groups.append(group.value)
+            continue
+        table = _read_effects_csv(paths["effects"])
+        if paths["discovery"].exists():
+            discovery[group.value] = read_json(paths["discovery"])
+        effects[group.value] = table[: cfg.top_k]
+        max_effect[group.value] = max((abs(r["effect"]) for r in table), default=0.0)
+    # null unless both groups were analysed and the smaller largest effect
+    # is not zero: a zero there makes the ratio infinite or 0/0
+    lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
+    gap_ratio = hi / lo if lo > 0.0 else None
+    report = {
+        "sampler": sampler_summary,
+        "groups": groups_summary,
+        "effects": effects,
+        "gap_ratio": gap_ratio,
+        "skipped_groups": sorted(skipped_groups),
+        "discovery": discovery,
+    }
+    write_json(cfg.path("report"), report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +523,17 @@ STAGES = (
 )
 
 
-def _stage_signature(cfg: PipelineConfig, stage: Stage) -> str:
-    """Hash of a stage's input files and the config subset it depends on."""
+def _stage_entry(cfg: PipelineConfig, stage: Stage) -> dict:
+    """A stage's manifest entry: the hash of its cache key, and the digest
+    of each of its outputs that exists.  The stage is cached when the entry
+    recorded after its last run equals this."""
     parts = [stage.name, str(cfg.seed), *map(str, stage.settings(cfg))]
     for path in stage.inputs(cfg):
         parts.append(_sha256_file(path) if path.exists() else "missing")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return {
+        "inputs": hashlib.sha256("\n".join(parts).encode()).hexdigest(),
+        "outputs": {p.name: _sha256_file(p) for p in stage.outputs(cfg) if p.exists()},
+    }
 
 
 def _load_manifest(cfg: PipelineConfig) -> dict:
@@ -552,51 +545,35 @@ def _load_manifest(cfg: PipelineConfig) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
-def _stage_cached(cfg: PipelineConfig, manifest: dict, stage: Stage) -> bool:
-    entry = manifest.get(stage.name)
-    if not entry or entry.get("inputs") != _stage_signature(cfg, stage):
-        return False
-    for name, digest in entry.get("outputs", {}).items():
-        path = Path(cfg.out_dir) / name
-        if not path.exists() or _sha256_file(path) != digest:
-            return False
-    return True
-
-
-def _record_stage(cfg: PipelineConfig, manifest: dict, stage: Stage) -> None:
-    outputs = {}
-    for path in stage.outputs(cfg):
-        if path.exists():
-            outputs[path.name] = _sha256_file(path)
-    manifest[stage.name] = {"inputs": _stage_signature(cfg, stage), "outputs": outputs}
-    write_json(cfg.path("manifest"), manifest)
-
-
 def run_pipeline(cfg: PipelineConfig, use_cache: bool = True) -> list[str]:
     """Run all stages in order, skipping stages whose cache entry is valid.
 
     Returns the fit stage's diagnostic flags and the discover stage's flag
-    (read from their fresh or cached output).  ``timings.json`` is written
-    on failure too, with the finished stages and ``failed_stage``.
+    (read from their fresh or cached output).  A failure is a StageError
+    labelled with the stage; ``timings.json`` is written then too, when it
+    can be, with the finished stages and ``failed_stage``.
     """
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(cfg) if use_cache else {}
     timings: dict[str, float] = {}
     try:
         for stage in STAGES:
             if stage.name == "synth" and cfg.source == "files":
                 continue
-            if use_cache and _stage_cached(cfg, manifest, stage):
-                timings[f"{stage.name}_cached"] = 0.0
-                continue
-            started = time.perf_counter()
-            stage.run(cfg)
-            timings[stage.name] = time.perf_counter() - started
-            _record_stage(cfg, manifest, stage)
+            with stage_guard(stage.name):
+                if stage.name in manifest and manifest[stage.name] == _stage_entry(cfg, stage):
+                    timings[f"{stage.name}_cached"] = 0.0
+                    continue
+                started = time.perf_counter()
+                stage.run(cfg)
+                timings[stage.name] = time.perf_counter() - started
+                manifest[stage.name] = _stage_entry(cfg, stage)
+                write_json(cfg.path("manifest"), manifest)
     except BaseException:
         timings["failed_stage"] = stage.name
+        with suppress(OSError):  # the stage's own error is the one to report
+            write_json(cfg.path("timings"), timings)
         raise
-    finally:
+    with stage_guard("pipeline"):
         write_json(cfg.path("timings"), timings)
-    report = read_json(cfg.path("report"))
+        report = read_json(cfg.path("report"))
     return list(report["sampler"].get("flags", [])) + _discovery_flags(report["skipped_groups"])

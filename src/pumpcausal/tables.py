@@ -7,6 +7,8 @@ id, a feature name); the others are integers, numbers or labels.  Floats are
 written as ``repr(float(v))``, the shortest text that reads back to the same
 value, so every table round-trips exactly.  A JSON artifact is strict JSON (no
 ``NaN`` or ``Infinity``), indented by two spaces, with one final newline.
+Both writers make the file's directory, so the first artifact a run writes
+makes the output directory.
 """
 
 from __future__ import annotations
@@ -193,9 +195,17 @@ def read_table(path: str | Path, header: Sequence[str] | None, kinds: Sequence) 
     return Table(path, tuple(names), list(codes)[:n_keys], columns, errors)
 
 
+def _new_file(path: str | Path) -> Path:
+    """``path``, once its directory exists."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the header line and one line per row; floats as ``repr(float(v))``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    """Write the header line and one line per row, making the file's
+    directory if need be; floats as ``repr(float(v))``."""
+    with _new_file(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(
@@ -204,8 +214,10 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def write_json(path: str | Path, value) -> None:
-    """Write ``value`` as a JSON artifact; a NaN or infinity is a ValueError."""
-    Path(path).write_text(json.dumps(value, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    """Write ``value`` as a JSON artifact, making the file's directory if need
+    be; a NaN or infinity is a ValueError."""
+    text = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    _new_file(path).write_text(text, encoding="utf-8")
 
 
 def read_json(path: str | Path):

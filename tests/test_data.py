@@ -502,7 +502,7 @@ class TestTables:
         assert table.errors == [(line, "value 'x' is not an integer")]
 
     def test_write_json_is_strict(self, tmp_path):
-        path = tmp_path / "t.json"
+        path = tmp_path / "new" / "t.json"  # the writer makes the directory
         tables.write_json(path, {"x": [1.5, None]})
         assert path.read_text(encoding="utf-8") == '{\n  "x": [\n    1.5,\n    null\n  ]\n}\n'
         for value in (float("nan"), float("inf")):
@@ -511,7 +511,7 @@ class TestTables:
         assert tables.read_json(path) == {"x": [1.5, None]}  # left as it was
 
     def test_columns_keys_and_variable_header(self, tmp_path):
-        path = tmp_path / "t.csv"
+        path = tmp_path / "new" / "dir" / "t.csv"  # the writer makes the directories
         tables.write_table(path, ["id", "x", "y"], [["b", 1.5, 2], ['"a"', 0.1, 3], ["b", -0.0, 4]])
         table = tables.read_table(path, None, (float,))
         assert table.header == ("id", "x", "y") and not table.errors

@@ -32,7 +32,8 @@ class TestSignGroups:
         assert sign_groups([0.0, -0.0]).tolist() == [Group.NEGATIVE, Group.NEGATIVE]
 
     def test_all_positive_leaves_negative_empty(self):
-        positive, negative = _split(_matrix(4), [0.5, 1.0, 2.0, 0.1])
+        with pytest.warns(UserWarning, match="group negative is empty"):
+            positive, negative = _split(_matrix(4), [0.5, 1.0, 2.0, 0.1])
         assert positive.count == 4
         assert negative.count == 0
         assert negative.count < min_members(len(negative.feature_names))

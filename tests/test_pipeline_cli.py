@@ -263,6 +263,7 @@ class TestRejectedBeforeAnyStage:
              "unknown key 'ica_max_iter' in section [lingam]"),
             ("n_pumps = 25", "n_pumps = 25\nar_noise_sd = -0.5", "ar_noise_sd must be >= 0"),
             ("seed = 11", "seed = 11\nthreads = -2", "threads must be >= 0, got -2"),
+            ("seed = 11", "seed = -5", "seed must be >= 0, got -5"),
         ],
     )
     def test_exit_1_and_no_artifact(self, tmp_path, line, setting, message):
@@ -273,6 +274,53 @@ class TestRejectedBeforeAnyStage:
         assert result.exit_code == 1, result.output
         assert f"validation error: {message}" in result.output
         assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path):
+        config_path, out = _write_config(tmp_path)
+        result = CliRunner().invoke(main, ["--config", str(config_path), "--seed", "-1", "pipeline"])
+        assert result.exit_code == 1, result.output
+        assert "validation error: seed must be >= 0, got -1" in result.output
+        assert not out.exists()
+
+
+class TestMalformedCommandLine:
+    """A command line click cannot parse exits 1, like any validation error."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--threads", "abc", "pipeline"], "'abc' is not a valid integer"),
+            (["pipeline", "--bogus"], "No such option '--bogus'"),
+            (["nosuch"], "No such command 'nosuch'"),
+        ],
+    )
+    def test_exit_1(self, tmp_path, args, message):
+        result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), *args])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["pipeline", "--help"]])
+    def test_help_exits_0(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "Usage:" in result.output
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be made is a stage failure naming it."""
+
+    @pytest.mark.parametrize("command, stage", [("synth", "synth"), ("pipeline", "synth")])
+    def test_out_under_a_regular_file(self, tmp_path, command, stage):
+        config_path, _ = _write_config(tmp_path)
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        out = regular / "out"
+        result = CliRunner().invoke(main, ["--config", str(config_path), "--out", str(out), command])
+        assert result.exit_code == 2, result.output
+        assert f"stage failure: [{stage}] {out}: Not a directory" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestSynthCommand:
@@ -445,6 +493,31 @@ class TestPipelineCommand:
         assert "fit" in timings  # stage re-ran rather than using the cache
         assert (out / "report.json").read_bytes() == report_before
 
+    def test_restored_file_of_a_skipped_group_is_deleted(self, pipeline_run, tmp_path):
+        # the default 22 features need 25 members, so both groups are skipped;
+        # a file of a skipped group put back afterwards is not a cached output
+        _, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        stale = (copy / "effects_positive.csv").read_bytes()
+        config_path = tmp_path / "c.ini"
+        config_path.write_text(
+            SMALL_CONFIG.format(out=copy).replace(
+                "active = std, min, recent_change_rate, trend_slope_90d", "active ="
+            )
+        )
+        assert runner.invoke(main, ["--config", str(config_path), "pipeline"]).exit_code == 3
+        assert not (copy / "effects_positive.csv").exists()
+        (copy / "effects_positive.csv").write_bytes(stale)
+        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        assert result.exit_code == 3, result.output
+        timings = json.loads((copy / "timings.json").read_text())
+        assert "discover" in timings and "fit_cached" in timings
+        assert not (copy / "effects_positive.csv").exists()
+        result = runner.invoke(main, ["--config", str(config_path), "report"])
+        assert result.exit_code == 0, result.output
+        assert "skipped groups: negative, positive" in result.output
+
     def test_report_command_recomputes_identical_report(self, pipeline_run):
         config_path, out, runner = pipeline_run
         before = (out / "report.json").read_bytes()
@@ -566,15 +639,17 @@ class TestMalformedArtifacts:
             assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-    def test_malformed_json_artifact(self, pipeline_run, tmp_path):
+    @pytest.mark.parametrize("command", ["report", "discover"])
+    def test_malformed_json_artifact(self, pipeline_run, tmp_path, command):
+        # the report is built by either command, and labelled with the command
         config_path, out, runner = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         path = copy / "diagnostics.json"
         path.write_text("{\n{broken\n")
-        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "report"])
+        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), command])
         assert result.exit_code == 2, result.output
-        assert f"{path} line 2: " in result.output
+        assert f"stage failure: [{command}] {path} line 2: " in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_header_only_groups_file(self, pipeline_run, tmp_path):
@@ -643,6 +718,26 @@ class TestPumpSets:
 
 
 class TestPipelineFailure:
+    @pytest.mark.parametrize("flags", [[], ["--no-cache"]], ids=["cached", "no_cache"])
+    def test_unwritable_artifact_is_a_stage_failure(self, pipeline_run, tmp_path, flags):
+        # with the cache the fit's outputs are hashed, without it draws.csv is
+        # written; either way the directory in its place fails the fit
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        draws = copy / "draws.csv"
+        draws.unlink()
+        draws.mkdir()
+        result = runner.invoke(
+            main, ["--config", str(config_path), "--out", str(copy), "pipeline", *flags]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"stage failure: [fit] {draws}: Is a directory" in result.output
+        assert isinstance(result.exception, SystemExit)
+        timings = json.loads((copy / "timings.json").read_text())
+        assert timings["failed_stage"] == "fit"
+        assert "fit" not in timings and "fit_cached" not in timings
+
     def test_timings_name_the_failed_stage(self, tmp_path):
         inspections = tmp_path / "inspections.csv"
         timeseries = tmp_path / "timeseries.csv"
