@@ -33,12 +33,13 @@ from .diagnostics import extract_random_effects
 from .errors import (
     ConfigError,
     DataError,
+    InsufficientGroupError,
     LingamError,
     PumpcausalError,
     SamplerError,
     StageError,
 )
-from .grouping import Group, group_datasets, min_members, sign_groups
+from .grouping import Group, group_datasets, sign_groups
 from .hazard import ParamLayout, make_logp_and_grad
 from .lingam import LingamConfig
 from .nuts import (
@@ -369,28 +370,30 @@ def group_artifact_paths(cfg: PipelineConfig, group: Group) -> dict[str, Path]:
 
 
 def _discovery_flags(skipped_groups: list[str]) -> list[str]:
-    """A flag when every group was skipped, so discovery produced nothing."""
+    """A flag when every group was skipped; each group's record says why."""
     if len(skipped_groups) < len(Group):
         return []
-    return [f"no group analysed: skipped {', '.join(skipped_groups)} (too few members)"]
+    return [f"no group analysed: skipped {', '.join(skipped_groups)} (see discovery_<group>.json)"]
 
 
 def run_discover(cfg: PipelineConfig) -> list[str]:
     """Run per-group causal discovery and write the run report.
 
-    Also writes the figure data.  Returns a flag when no group was large
-    enough to analyse.  A skipped group leaves no artifact, which is how the
-    report finds it.
+    Also writes the figure data.  A group too small to analyse leaves only
+    ``discovery_<group>.json``, holding ``{"skipped": <reason>}``.  Returns
+    a flag when no group was analysed.
     """
     matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
     _write_u_hist(u_mean, groups, cfg.path("u_hist"))
     for group_data in group_datasets(matrix, u_mean, groups):
         paths = group_artifact_paths(cfg, group_data.group)
-        if group_data.count < min_members(len(group_data.feature_names)):
-            for stale in paths.values():
-                stale.unlink(missing_ok=True)
+        for stale in paths.values():
+            stale.unlink(missing_ok=True)
+        try:
+            model = lingam_mod.discover(group_data, cfg.lingam_config())
+        except InsufficientGroupError as exc:
+            write_json(paths["discovery"], {"skipped": str(exc)})
             continue
-        model = lingam_mod.discover(group_data, cfg.lingam_config())
         lingam_mod.write_adjacency_csv(model, paths["adjacency"])
         lingam_mod.write_order_json(model, paths["order"])
         lingam_mod.write_effects_csv(model, paths["effects"])
@@ -424,7 +427,7 @@ def _read_effects_csv(path: Path) -> list[dict]:
 
 def build_report(cfg: PipelineConfig) -> dict:
     """Assemble the run report purely from persisted stage artifacts, write
-    it and return it; a group without ``effects_<group>.csv`` was skipped."""
+    it and return it; ``discovery_<group>.json`` says if a group was skipped."""
     diag_path = cfg.path("diagnostics")
     sampler_summary = read_json(diag_path)["summary"] if diag_path.exists() else {}
     _, u_mean, groups = _read_per_pump(cfg, "groups").columns
@@ -437,20 +440,14 @@ def build_report(cfg: PipelineConfig) -> dict:
             "u_min": float(u.min()) if len(u) else None,
             "u_max": float(u.max()) if len(u) else None,
         }
+    discovery = {g.value: read_json(group_artifact_paths(cfg, g)["discovery"]) for g in Group}
     effects: dict[str, list[dict]] = {}
     max_effect: dict[str, float] = {}
-    discovery: dict[str, dict] = {}
-    skipped_groups: list[str] = []
-    for group in Group:
-        paths = group_artifact_paths(cfg, group)
-        if not paths["effects"].exists():
-            skipped_groups.append(group.value)
-            continue
-        table = _read_effects_csv(paths["effects"])
-        if paths["discovery"].exists():
-            discovery[group.value] = read_json(paths["discovery"])
-        effects[group.value] = table[: cfg.top_k]
-        max_effect[group.value] = max((abs(r["effect"]) for r in table), default=0.0)
+    for group, record in discovery.items():
+        if "skipped" not in record:
+            table = _read_effects_csv(group_artifact_paths(cfg, Group(group))["effects"])
+            effects[group] = table[: cfg.top_k]
+            max_effect[group] = max((abs(r["effect"]) for r in table), default=0.0)
     # null unless both groups were analysed and the smaller largest effect
     # is not zero: a zero there makes the ratio infinite or 0/0
     lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
@@ -460,7 +457,7 @@ def build_report(cfg: PipelineConfig) -> dict:
         "groups": groups_summary,
         "effects": effects,
         "gap_ratio": gap_ratio,
-        "skipped_groups": sorted(skipped_groups),
+        "skipped_groups": sorted(set(discovery) - set(effects)),
         "discovery": discovery,
     }
     write_json(cfg.path("report"), report)

@@ -22,6 +22,7 @@ from pumpcausal.nuts import (
 )
 from pumpcausal.pipeline import (
     _SECTION_KEYS,
+    STAGES,
     PipelineConfig,
     build_report,
     load_config,
@@ -525,6 +526,21 @@ class TestPipelineCommand:
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == before
 
+    def test_report_before_discover_names_the_missing_record(self, pipeline_run, tmp_path):
+        # the output directory as `group` leaves it: no group has a record
+        # yet, which says nothing of the groups' sizes
+        config_path, out, runner = pipeline_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (discover,) = (stage for stage in STAGES if stage.name == "discover")
+        for path in discover.outputs(load_config(config_path, out_dir=copy)):
+            path.unlink()
+        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "report"])
+        assert result.exit_code == 2, result.output
+        assert f"[report] {copy / 'discovery_positive.json'}: file not found" in result.output
+        assert "skipped groups" not in result.output
+        assert not (copy / "report.json").exists()
+
 
 class TestStageCacheKeys:
     """A changed setting re-runs the stage it keys and every stage after it
@@ -582,6 +598,10 @@ class TestNonFiniteDiagnostics:
         cfg.path("groups").write_text(
             "pump_id,u_mean,group\nP000,0.5,positive\nP001,-0.5,negative\n"
         )
+        for group in ("positive", "negative"):
+            (tmp_path / f"discovery_{group}.json").write_text(
+                json.dumps({"skipped": f"group {group}: 1 members < 10 required for 1 features"})
+            )
         build_report(cfg)
 
         def reject(constant):
@@ -795,10 +815,17 @@ class TestDiscoverSkipsSmallGroups:
         # discovery produced nothing, which is flagged with exit code 3
         flag = "no group analysed: skipped negative, positive"
         assert result.exit_code == 3 and flag in result.output
+        # each group leaves only its record, holding the size gate's message
+        for group in ("negative", "positive"):
+            count = report["groups"][group]["count"]
+            record = {"skipped": f"group {group}: {count} members < 25 required for 22 features"}
+            assert json.loads((out / f"discovery_{group}.json").read_text()) == record
+            assert report["discovery"][group] == record
         alone = runner.invoke(main, ["--config", str(config_path), "discover"])
         assert alone.exit_code == 3, alone.output
         assert flag in alone.output
-        assert not list(out.glob("effects_*.csv"))
+        for group in ("negative", "positive"):
+            assert [p.name for p in out.glob(f"*_{group}.*")] == [f"discovery_{group}.json"]
 
 
 class TestCollinearDefaultFeatures:
