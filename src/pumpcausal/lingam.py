@@ -483,13 +483,13 @@ def _resample_rows(x: np.ndarray, seed: int, resamples: range):
 
 
 def _ica_block(x: np.ndarray, seed: int, resamples: range):
-    """FastICA in lock-step on a block of row resamples, each from the ICA
-    start its stream draws after its rows.
+    """FastICA and causal ordering in lock-step on a block of row resamples,
+    each decomposed from the ICA start its stream draws after its rows.
 
-    Returns the indices of the resamples whose decomposition succeeded,
-    their demixing matrices and whether each converged; the others
+    Returns the indices of the resamples that decomposed and ordered, their
+    (B, d) orders and whether each decomposition converged; the others
     degenerate (constant or collinear columns, failed or non-finite
-    decomposition).
+    decomposition, zero diagonal after row matching).
     """
     n, d = x.shape
     z, _, ok, streams = _resample_rows(x, seed, resamples)
@@ -498,7 +498,9 @@ def _ica_block(x: np.ndarray, seed: int, resamples: range):
     zw, whiten, ok = _whiten_stack(z[live])
     live, zw, whiten = live[ok], zw[ok], whiten[ok]
     w, _, converged, ok = _ica_stack(zw, starts[live])
-    return resamples.start + live[ok], w[ok] @ whiten[ok], converged[ok]
+    live, converged = live[ok], converged[ok]
+    orders, ok = _order_stack(w[ok] @ whiten[ok])
+    return resamples.start + live[ok], orders[ok], converged[ok]
 
 
 def bootstrap_cis(
@@ -519,15 +521,15 @@ def bootstrap_cis(
     every resample degenerates this raises.  Sign stability is the fraction
     of the remaining resamples whose edge sign equals the point estimate's.
 
-    Resamples run in blocks of consecutive indices, in three phases:
-    FastICA in lock-step within each block, the blocks sequentially or
-    across worker processes (config.threads); one stacked matching and
-    ordering over every decomposed resample; then the effects, one stacked
-    regression per block on rows drawn again from the resamples' streams,
-    so no more than one block's data is held at once.  Each resample owns
-    an independent RNG stream of config.seed, and every stacked operation
-    treats its resamples apart, so the results depend on neither the block
-    size nor the thread count.
+    Resamples run in blocks of consecutive indices, two steps per block:
+    FastICA and causal ordering in lock-step on its stacked resamples, the
+    blocks sequentially or across worker processes (config.threads); then
+    the effects, one stacked regression on rows drawn again from the
+    resamples' streams, written in raw units into one (resamples, d, d)
+    array, so one block's data and that array are all that is held.  Each
+    resample owns an independent RNG stream of config.seed, and every
+    stacked operation treats its resamples apart, so the results depend on
+    neither the block size nor the thread count.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -537,37 +539,33 @@ def bootstrap_cis(
         raise LingamError(f"bootstrap needs n_resamples >= 1, got {n_resamples}")
     size = max(1, _BLOCK_ELEMENTS // (n * d))
     blocks = [range(s, min(s + size, n_resamples)) for s in range(0, n_resamples, size)]
-    icas = rng_mod.map_replicas(
+    fits = rng_mod.map_replicas(
         lambda k: _ica_block(x, config.seed, blocks[k]), len(blocks), config.threads
     )
-    live, demixing, converged = (np.concatenate(parts) for parts in zip(*icas))
-    orders, ok = _order_stack(demixing)
-    live, orders, converged = live[ok], orders[ok], converged[ok]
-
-    estimates, estimates_raw, fit_converged = [], [], []
-    for block in blocks:
-        here = (live >= block.start) & (live < block.stop)
+    est = np.empty((n_resamples, d, d))  # raw-unit estimates of the fitted resamples
+    n_fit = n_unconverged = 0
+    for block, (live, orders, converged) in zip(blocks, fits):
         z, sd, _, _ = _resample_rows(x, config.seed, block)
-        k = live[here] - block.start
-        b_std, deficient = _effects_stack(z[k], orders[here])
+        k = live - block.start
+        b_std, deficient = _effects_stack(z[k], orders)
         ok = ~deficient.any(axis=1)
-        k, b_std = k[ok], b_std[ok]
-        estimates.append(b_std)
-        estimates_raw.append(b_std * sd[k, None, :] / sd[k, :, None])
-        fit_converged.append(converged[here][ok])
-    estimates = np.concatenate(estimates)
-    estimates_raw = np.concatenate(estimates_raw)
-    fit_converged = np.concatenate(fit_converged)
-    if not len(fit_converged):
+        k = k[ok]
+        est[n_fit : n_fit + len(k)] = b_std[ok] * sd[k, None, :] / sd[k, :, None]
+        n_fit += len(k)
+        n_unconverged += int(np.sum(~converged[ok]))
+    if not n_fit:
         raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
-    sign_stability = (np.sign(estimates) == np.sign(point_estimate)).mean(axis=0)
+    est = est[:n_fit]
+    # column sds are positive, so raw signs are the standardized signs
+    same_sign = ((est > 0) == (point_estimate > 0)) & ((est < 0) == (point_estimate < 0))
+    ci_low_raw, ci_high_raw = np.percentile(est, [2.5, 97.5], axis=0, overwrite_input=True)
     return BootstrapResult(
-        ci_low_raw=np.percentile(estimates_raw, 2.5, axis=0),
-        ci_high_raw=np.percentile(estimates_raw, 97.5, axis=0),
-        sign_stability=sign_stability,
+        ci_low_raw=ci_low_raw,
+        ci_high_raw=ci_high_raw,
+        sign_stability=same_sign.mean(axis=0),
         n_resamples=n_resamples,
-        n_flagged=n_resamples - len(fit_converged),
-        n_unconverged=int(np.sum(~fit_converged)),
+        n_flagged=n_resamples - n_fit,
+        n_unconverged=n_unconverged,
     )
 
 

@@ -31,7 +31,7 @@ from .errors import SamplerError
 from .tables import write_json, write_table
 
 ENERGY_ERROR_THRESHOLD = 1000.0  # divergence cutoff on the Hamiltonian error
-ESS_PER_CHAIN = 400.0  # diagnostic_flags flags a min ESS below this per chain
+ESS_PER_CHAIN = 400.0  # diagnostic_summary flags a min ESS below this per chain
 _INIT_RETRIES = 100
 _LOG_HALF = math.log(0.5)
 
@@ -525,16 +525,18 @@ def _json_number(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def diagnostic_flags(samples: PosteriorSamples) -> list[str]:
-    """Soft convergence flags: reported, never a hard failure."""
+def diagnostic_summary(samples: PosteriorSamples) -> dict:
+    """Max R-hat, min bulk ESS, total divergences (null where not computed or
+    not finite; a flag still names an infinite R-hat) and soft flags, never fatal."""
+    max_rhat = _extreme(samples.rhat, np.nanmax)
+    min_ess = _extreme(samples.ess_bulk, np.nanmin)
+    total_div = int(samples.divergences.sum())
     flags = []
     if samples.dim:
-        max_rhat = _extreme(samples.rhat, np.nanmax)
         if max_rhat is None:
             flags.append("R-hat not computed (fewer than 4 draws per chain)")
         elif max_rhat >= 1.01:
             flags.append(f"max split R-hat {max_rhat:.4f} >= 1.01")
-        min_ess = _extreme(samples.ess_bulk, np.nanmin)
         threshold = ESS_PER_CHAIN * samples.n_chains
         if min_ess is None:
             flags.append("ESS not computed (fewer than 8 draws per chain)")
@@ -543,10 +545,14 @@ def diagnostic_flags(samples: PosteriorSamples) -> list[str]:
                 f"min ESS {min_ess:.0f} below {ESS_PER_CHAIN:.0f} per chain "
                 f"({threshold:.0f} total)"
             )
-    total_div = int(samples.divergences.sum())
     if total_div > 0:
         flags.append(f"{total_div} divergent transitions")
-    return flags
+    return {
+        "max_rhat": _json_number(max_rhat),
+        "min_ess_bulk": _json_number(min_ess),
+        "total_divergences": total_div,
+        "flags": flags,
+    }
 
 
 def write_diagnostics_json(
@@ -554,19 +560,15 @@ def write_diagnostics_json(
     names: Sequence[str],
     path: str | Path,
     data: dict | None = None,
-) -> None:
+) -> dict:
     """Sampler summary, per-parameter and per-chain diagnostics, and the
     optional ``data`` record; diagnostics that were not computed, or are not
-    finite, are null (the flags still name an infinite R-hat)."""
+    finite, are null.  Returns the summary it recorded."""
     if len(names) != samples.dim:
         raise SamplerError("name count does not match draw dimension")
+    summary = diagnostic_summary(samples)
     payload = {
-        "summary": {
-            "max_rhat": _json_number(_extreme(samples.rhat, np.nanmax)),
-            "min_ess_bulk": _json_number(_extreme(samples.ess_bulk, np.nanmin)),
-            "total_divergences": int(samples.divergences.sum()),
-            "flags": diagnostic_flags(samples),
-        },
+        "summary": summary,
         "parameters": {
             name: {
                 "rhat": _json_number(float(samples.rhat[j])),
@@ -588,3 +590,4 @@ def write_diagnostics_json(
     if data is not None:
         payload["data"] = data
     write_json(path, payload)
+    return summary

@@ -44,7 +44,6 @@ from .hazard import ParamLayout, make_logp_and_grad
 from .lingam import LingamConfig
 from .nuts import (
     SamplerConfig,
-    diagnostic_flags,
     sample,
     write_diagnostics_json,
     write_draws_csv,
@@ -281,14 +280,14 @@ def run_fit(cfg: PipelineConfig) -> list[str]:
         "dropped_decrease": build.dropped_decrease,
         "dropped_absorbing": build.dropped_absorbing,
     }
-    write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
+    summary = write_diagnostics_json(samples, names, cfg.path("diagnostics"), data=data_record)
     u_columns = extract_random_effects(samples, layout)
     write_table(
         cfg.path("u_estimates"),
         U_ESTIMATES_HEADER,
         zip(build.pump_ids, *(c.tolist() for c in u_columns)),
     )
-    return diagnostic_flags(samples)
+    return summary["flags"]
 
 
 def run_features(cfg: PipelineConfig) -> None:

@@ -14,7 +14,7 @@ from pumpcausal.hazard import ParamLayout, make_logp_and_grad
 from pumpcausal.nuts import (
     PosteriorSamples,
     SamplerConfig,
-    diagnostic_flags,
+    diagnostic_summary,
     sample,
     write_diagnostics_json,
     write_draws_csv,
@@ -292,7 +292,7 @@ class TestExports:
         assert payload["summary"]["min_ess_bulk"] is None
         assert payload["parameters"]["x"]["ess_bulk"] is None
         assert (payload["summary"]["max_rhat"] is None) == ("R-hat" in not_computed)
-        flags = diagnostic_flags(samples)
+        flags = diagnostic_summary(samples)["flags"]
         assert "ESS not computed (fewer than 8 draws per chain)" in flags
         assert ("R-hat not computed (fewer than 4 draws per chain)" in flags) == (
             "R-hat" in not_computed

@@ -17,7 +17,7 @@ from pumpcausal.lingam import LingamConfig
 from pumpcausal.nuts import (
     PosteriorSamples,
     SamplerConfig,
-    diagnostic_flags,
+    diagnostic_summary,
     write_diagnostics_json,
 )
 from pumpcausal.pipeline import (
@@ -621,7 +621,8 @@ class TestNonFiniteDiagnostics:
         # count 2n (which at n = 1000 would clear the 800 threshold)
         samples = _stuck_chains(n_draws)
         assert samples.ess_bulk[0] == pytest.approx(2 * n_draws / (2 * n_draws - 1))
-        assert "min ESS 1 below 400 per chain (800 total)" in diagnostic_flags(samples)
+        flags = diagnostic_summary(samples)["flags"]
+        assert "min ESS 1 below 400 per chain (800 total)" in flags
 
 
 class TestMalformedArtifacts:
