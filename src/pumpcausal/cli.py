@@ -10,14 +10,11 @@ or no group large enough for discovery).
 
 from __future__ import annotations
 
+import argparse
 import sys
-from collections.abc import Callable
-from contextlib import contextmanager
-
-import click
 
 from .errors import ConfigError, PumpcausalError
-from .pipeline import STAGES, PipelineConfig, build_report, load_config, run_pipeline, stage_guard
+from .pipeline import STAGES, build_report, load_config, run_pipeline, stage_guard
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -25,113 +22,94 @@ EXIT_STAGE = 2
 EXIT_WARNINGS = 3
 
 
-@contextmanager
-def _validation_exit():
-    """Give a malformed command line the exit code of a validation error;
-    click's own code for it, 2, is that of a failed stage here."""
-    try:
-        yield
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_VALIDATION
-        raise
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no option prefix and whose usage errors exit 1,
+    like any validation error; argparse's own code for them, 2, is that of
+    a failed stage here.  Subcommand parsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-class _Commands(click.Group):
-    """The command group: click's usage errors exit with code 1, whether
-    they are in the global flags, the subcommand's name or its flags."""
+def _stage_action(stage):
+    """The action that runs ``stage`` alone from cached artifacts."""
 
-    def make_context(self, *args, **kwargs):
-        with _validation_exit():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx):
-        with _validation_exit():
-            return super().invoke(ctx)
-
-
-@click.group(cls=_Commands)
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="INI config file; omitted keys use documented defaults.")
-@click.option("--seed", type=int, default=None, help="Global seed override.")
-@click.option("--out", "out_dir", type=click.Path(), default=None,
-              help="Output directory override.")
-@click.option("--threads", type=int, default=None,
-              help="Within-stage parallelism (chains, bootstrap); 0 = all cores.")
-@click.pass_context
-def main(ctx, config_path, seed, out_dir, threads):
-    """Deterioration analytics: hazard fit, features, groups, causal discovery."""
-    ctx.obj = {"path": config_path, "seed": seed, "out_dir": out_dir, "threads": threads}
-
-
-def _run(ctx, action: Callable[[PipelineConfig], list[str] | None]) -> None:
-    """Build the config from the global flags and run ``action`` on it.
-
-    A bad setting exits 1 and a failed stage 2, each with its message;
-    otherwise each diagnostic flag ``action`` returns is printed, and any
-    flag means exit code 3.
-    """
-    try:
-        flags = action(load_config(**ctx.obj)) or []
-    except ConfigError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except PumpcausalError as exc:
-        click.echo(f"stage failure: {exc}", err=True)
-        sys.exit(EXIT_STAGE)
-    for flag in flags:
-        click.echo(f"warning: {flag}", err=True)
-    if flags:
-        sys.exit(EXIT_WARNINGS)
-
-
-def _stage_command(stage) -> click.Command:
-    """The subcommand that runs ``stage`` alone from cached artifacts."""
-
-    def action(cfg):
+    def action(cfg, args):
         with stage_guard(stage.name):
             flags = stage.run(cfg)
-        click.echo(f"{stage.name} artifacts written to {cfg.out_dir}")
+        print(f"{stage.name} artifacts written to {cfg.out_dir}")
         return flags
 
-    command = click.pass_context(lambda ctx: _run(ctx, action))
-    return click.Command(stage.name, callback=command, help=stage.run.__doc__.splitlines()[0])
+    action.__doc__ = stage.run.__doc__.splitlines()[0]
+    return action
 
 
-for _stage in STAGES:
-    main.add_command(_stage_command(_stage))
-
-
-@main.command()
-@click.option("--no-cache", is_flag=True, default=False,
-              help="Re-run every stage even when cached outputs are valid.")
-@click.pass_context
-def pipeline(ctx, no_cache):
+def _pipeline(cfg, args):
     """Run all stages in sequence with artifact caching."""
-
-    def action(cfg):
-        flags = run_pipeline(cfg, use_cache=not no_cache)
-        click.echo(f"pipeline artifacts written to {cfg.out_dir}")
-        return flags
-
-    _run(ctx, action)
+    flags = run_pipeline(cfg, use_cache=not args.no_cache)
+    print(f"pipeline artifacts written to {cfg.out_dir}")
+    return flags
 
 
-@main.command()
-@click.pass_context
-def report(ctx):
+def _report(cfg, args):
     """Recompute the run report from persisted stage artifacts."""
+    with stage_guard("report"):
+        run_report = build_report(cfg)
+    print(f"groups: {run_report['groups']}")
+    if run_report["gap_ratio"] is not None:
+        print(f"effect magnitude gap ratio: {run_report['gap_ratio']}")
+    if run_report["skipped_groups"]:
+        print(f"skipped groups: {', '.join(run_report['skipped_groups'])}")
+    print(f"report written to {cfg.path('report')}")
 
-    def action(cfg):
-        with stage_guard("report"):
-            run_report = build_report(cfg)
-        click.echo(f"groups: {run_report['groups']}")
-        if run_report["gap_ratio"] is not None:
-            click.echo(f"effect magnitude gap ratio: {run_report['gap_ratio']}")
-        if run_report["skipped_groups"]:
-            click.echo(f"skipped groups: {', '.join(run_report['skipped_groups'])}")
-        click.echo(f"report written to {cfg.path('report')}")
 
-    _run(ctx, action)
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="pumpcausal",
+        description="Deterioration analytics: hazard fit, features, groups, causal discovery.",
+    )
+    parser.add_argument("--config", help="INI config file; omitted keys use documented defaults.")
+    parser.add_argument("--seed", type=int, help="Global seed override.")
+    parser.add_argument("--out", help="Output directory override.")
+    parser.add_argument("--threads", type=int,
+                        help="Within-stage parallelism (chains, bootstrap); 0 = all cores.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {stage.name: _stage_action(stage) for stage in STAGES}
+    actions.update(pipeline=_pipeline, report=_report)
+    for name, action in actions.items():
+        command = commands.add_parser(name, help=action.__doc__, description=action.__doc__)
+        command.set_defaults(action=action)
+    commands.choices["pipeline"].add_argument(
+        "--no-cache", action="store_true",
+        help="Re-run every stage even when cached outputs are valid.",
+    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``).
+
+    Always ends in ``SystemExit``: a bad setting exits 1 and a failed stage
+    2, each with its message; otherwise each diagnostic flag the command
+    returns is printed, and any flag means exit code 3.
+    """
+    args = _parser().parse_args(argv)
+    try:
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out, threads=args.threads)
+        flags = args.action(cfg, args) or []
+    except ConfigError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_VALIDATION)
+    except PumpcausalError as exc:
+        print(f"stage failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_STAGE)
+    for flag in flags:
+        print(f"warning: {flag}", file=sys.stderr)
+    sys.exit(EXIT_WARNINGS if flags else EXIT_OK)
 
 
 if __name__ == "__main__":

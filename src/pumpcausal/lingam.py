@@ -54,6 +54,10 @@ class LingamConfig:
     def __post_init__(self):
         if self.n_bootstrap < 1:
             raise LingamError(f"n_bootstrap must be >= 1, got {self.n_bootstrap}")
+        if self.seed < 0:
+            raise LingamError(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 0:
+            raise LingamError(f"threads must be >= 0, got {self.threads}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,6 +67,10 @@ class SamplerConfig:
             raise SamplerError("n_chains must be >= 1")
         if self.max_tree_depth < 1:
             raise SamplerError("max_tree_depth must be >= 1")
+        if self.seed < 0:
+            raise SamplerError(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 0:
+            raise SamplerError(f"threads must be >= 0, got {self.threads}")
 
 
 @dataclass(eq=False)

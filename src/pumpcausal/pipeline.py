@@ -114,15 +114,15 @@ class PipelineConfig:
                     raise ConfigError(f"source=files requires an {label} path")
                 if not Path(path).exists():
                     raise ConfigError(f"{label} file not found: {path}")
+        elif self.inspections is not None or self.timeseries is not None:
+            raise ConfigError(
+                "source=synth reads no inspections or timeseries path; set source = files"
+            )
         unknown = [n for n in self.active_features if n not in features_mod.FEATURE_NAMES]
         if unknown:
             raise ConfigError(f"unknown active features: {unknown}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0, got {self.threads}")
         if self.feature_window < features_mod.MIN_WINDOW:
             raise ConfigError(
                 f"feature window must be >= {features_mod.MIN_WINDOW}, got {self.feature_window}"
@@ -202,11 +202,17 @@ def load_config(
     fields: dict[type, dict] = {SynthConfig: {}, PipelineConfig: {}}
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config {path} is not UTF-8 text") from None
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read(path, encoding="utf-8")
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         for section in parser.sections():

@@ -1,4 +1,5 @@
-"""Importing the package loads no optional heavy dependency."""
+"""Importing the package loads numpy and the standard library, nothing else;
+the command-line entry point runs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -8,15 +9,36 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_loads_no_scipy():
+def _python(*args):
     # a fresh interpreter: this test process has scipy loaded by the oracles
-    probe = (
-        "import sys; import pumpcausal, pumpcausal.pipeline, pumpcausal.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, check=True, timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # modules loaded before the import (site hooks) are not the package's;
+    # __mp_main__ is multiprocessing's second name for __main__
+    probe = (
+        "import sys; before = set(sys.modules); "
+        "import pumpcausal, pumpcausal.pipeline, pumpcausal.cli; "
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "allowed = {'numpy', 'pumpcausal', '__mp_main__'}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - allowed))"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_module_entry_point():
+    done = _python("-m", "pumpcausal.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: pumpcausal")
+    done = _python("-m", "pumpcausal.cli", "nosuch")
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage: pumpcausal")
+    assert "invalid choice: 'nosuch'" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,18 +1,20 @@
 """Pipeline stages, caching, config parsing, and CLI exit codes."""
 
 import dataclasses
+import io
 import json
 import os
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from pumpcausal.cli import main
 from pumpcausal.diagnostics import ess, split_rhat
-from pumpcausal.errors import ConfigError
+from pumpcausal.errors import ConfigError, PumpcausalError
 from pumpcausal.lingam import LingamConfig
 from pumpcausal.nuts import (
     PosteriorSamples,
@@ -63,14 +65,23 @@ def _write_config(tmp_path, out_name="out", **extra):
     return path, out
 
 
+def _invoke(args):
+    """Run the CLI on ``args``; stdout and stderr share one buffer."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer), redirect_stderr(buffer), pytest.raises(SystemExit) as exited:
+        main(args)
+    return SimpleNamespace(
+        exit_code=exited.value.code, output=buffer.getvalue(), exception=exited.value
+    )
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pipe")
     config_path, out = _write_config(tmp_path)
-    runner = CliRunner()
-    result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+    result = _invoke(["--config", str(config_path), "pipeline"])
     assert result.exit_code in (0, 3), result.output
-    return config_path, out, runner
+    return config_path, out
 
 
 class TestConfigLoading:
@@ -250,6 +261,13 @@ class TestConfigLoading:
                 timeseries=tmp_path / "missing2.csv",
             )
 
+    @pytest.mark.parametrize("cls", [SamplerConfig, LingamConfig])
+    def test_stage_configs_reject_negative_seed_and_threads(self, cls):
+        with pytest.raises(PumpcausalError, match="seed must be >= 0, got -1"):
+            cls(seed=-1)
+        with pytest.raises(PumpcausalError, match="threads must be >= 0, got -2"):
+            cls(threads=-2)
+
 
 class TestRejectedBeforeAnyStage:
     @pytest.mark.parametrize(
@@ -265,38 +283,66 @@ class TestRejectedBeforeAnyStage:
             ("n_pumps = 25", "n_pumps = 25\nar_noise_sd = -0.5", "ar_noise_sd must be >= 0"),
             ("seed = 11", "seed = 11\nthreads = -2", "threads must be >= 0, got -2"),
             ("seed = 11", "seed = -5", "seed must be >= 0, got -5"),
+            ("seed = 11", "seed = 11\ninspections = data/inspections.csv",
+             "source=synth reads no inspections or timeseries path"),
+            ("seed = 11", "seed = 11\ntimeseries = data/timeseries.csv",
+             "source=synth reads no inspections or timeseries path"),
         ],
     )
     def test_exit_1_and_no_artifact(self, tmp_path, line, setting, message):
         out = tmp_path / "out"
         config_path = tmp_path / "c.ini"
         config_path.write_text(SMALL_CONFIG.format(out=out).replace(line, setting))
-        result = CliRunner().invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code == 1, result.output
         assert f"validation error: {message}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (Path.mkdir, "cannot read config {}: Is a directory"),
+            (lambda path: path.write_bytes(b"[pipeline]\nseed = 1\xff\n"),
+             "config {} is not UTF-8 text"),
+        ],
+    )
+    def test_unreadable_config_file(self, tmp_path, make, message):
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.ini"
+        make(config_path)
+        result = _invoke(["--config", str(config_path), "--out", str(out), "pipeline"])
+        assert result.exit_code == 1, result.output
+        assert f"validation error: {message.format(config_path)}" in result.output
+        assert not out.exists()
+
     def test_negative_seed_flag(self, tmp_path):
         config_path, out = _write_config(tmp_path)
-        result = CliRunner().invoke(main, ["--config", str(config_path), "--seed", "-1", "pipeline"])
+        result = _invoke(["--config", str(config_path), "--seed", "-1", "pipeline"])
         assert result.exit_code == 1, result.output
         assert "validation error: seed must be >= 0, got -1" in result.output
         assert not out.exists()
 
 
 class TestMalformedCommandLine:
-    """A command line click cannot parse exits 1, like any validation error."""
+    """A command line the parser rejects exits 1, like any validation error."""
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--threads", "abc", "pipeline"], "'abc' is not a valid integer"),
-            (["pipeline", "--bogus"], "No such option '--bogus'"),
-            (["nosuch"], "No such command 'nosuch'"),
+            (["--threads", "abc", "pipeline"], "invalid int value: 'abc'"),
+            (["--seed", "x", "pipeline"], "invalid int value: 'x'"),
+            (["pipeline", "--bogus"], "unrecognized arguments: --bogus"),
+            (["--bogus", "pipeline"], "unrecognized arguments: --bogus"),
+            (["nosuch"], "invalid choice: 'nosuch'"),
+            ([], "the following arguments are required: command"),
+            # no option prefix stands for the option: --thr is left over, so 1
+            # is read as the subcommand
+            (["--thr", "1", "pipeline"], "invalid choice: '1'"),
+            (["pipeline", "--no-c"], "unrecognized arguments: --no-c"),
         ],
     )
     def test_exit_1(self, tmp_path, args, message):
-        result = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), *args])
+        result = _invoke(["--out", str(tmp_path / "out"), *args])
         assert result.exit_code == 1, result.output
         assert message in result.output
         assert isinstance(result.exception, SystemExit)
@@ -304,9 +350,9 @@ class TestMalformedCommandLine:
 
     @pytest.mark.parametrize("args", [["--help"], ["pipeline", "--help"]])
     def test_help_exits_0(self, args):
-        result = CliRunner().invoke(main, args)
+        result = _invoke(args)
         assert result.exit_code == 0, result.output
-        assert "Usage:" in result.output
+        assert "usage:" in result.output
 
 
 class TestOutputDirectory:
@@ -318,7 +364,7 @@ class TestOutputDirectory:
         regular = tmp_path / "regular"
         regular.write_text("")
         out = regular / "out"
-        result = CliRunner().invoke(main, ["--config", str(config_path), "--out", str(out), command])
+        result = _invoke(["--config", str(config_path), "--out", str(out), command])
         assert result.exit_code == 2, result.output
         assert f"stage failure: [{stage}] {out}: Not a directory" in result.output
         assert isinstance(result.exception, SystemExit)
@@ -327,19 +373,18 @@ class TestOutputDirectory:
 class TestSynthCommand:
     def test_writes_documented_files_deterministically(self, tmp_path):
         config_path, out = _write_config(tmp_path, out_name="s1")
-        runner = CliRunner()
-        assert runner.invoke(main, ["--config", str(config_path), "synth"]).exit_code == 0
+        assert _invoke(["--config", str(config_path), "synth"]).exit_code == 0
         names = {"inspections.csv", "timeseries.csv", "ground_truth.json"}
         assert names <= {p.name for p in out.iterdir()}
         first = {n: (out / n).read_bytes() for n in names}
-        assert runner.invoke(main, ["--config", str(config_path), "synth"]).exit_code == 0
+        assert _invoke(["--config", str(config_path), "synth"]).exit_code == 0
         for n in names:
             assert (out / n).read_bytes() == first[n]
 
     def test_zero_pumps_is_validation_error(self, tmp_path):
         config_path = tmp_path / "zero.ini"
         config_path.write_text("[synth]\nn_pumps = 0\n")
-        result = CliRunner().invoke(main, ["--config", str(config_path), "synth"])
+        result = _invoke(["--config", str(config_path), "synth"])
         assert result.exit_code == 1
         assert "validation error" in result.output
 
@@ -347,7 +392,7 @@ class TestSynthCommand:
 class TestFitCommand:
     def test_missing_input_is_stage_failure(self, tmp_path):
         config_path, _ = _write_config(tmp_path, out_name="empty")
-        result = CliRunner().invoke(main, ["--config", str(config_path), "fit"])
+        result = _invoke(["--config", str(config_path), "fit"])
         assert result.exit_code == 2
         assert "[fit]" in result.output
 
@@ -355,7 +400,7 @@ class TestFitCommand:
         config_path, out = _write_config(tmp_path, out_name="bad_byte")
         out.mkdir()
         (out / "inspections.csv").write_bytes(b"pump_id,day,state\nP,0,1\nP,30,2\nQ\xff,0,1\n")
-        result = CliRunner().invoke(main, ["--config", str(config_path), "fit"])
+        result = _invoke(["--config", str(config_path), "fit"])
         assert result.exit_code == 2, result.output
         assert "inspections.csv line 4: not UTF-8 text" in result.output
 
@@ -363,22 +408,20 @@ class TestFitCommand:
         config_path, out = _write_config(
             tmp_path, out_name="nocov", hazard=["use_covariates = false"]
         )
-        runner = CliRunner()
-        assert runner.invoke(main, ["--config", str(config_path), "synth"]).exit_code == 0
+        assert _invoke(["--config", str(config_path), "synth"]).exit_code == 0
         (out / "timeseries.csv").unlink()
-        result = runner.invoke(main, ["--config", str(config_path), "fit"])
+        result = _invoke(["--config", str(config_path), "fit"])
         assert result.exit_code in (0, 3), result.output
         assert (out / "u_estimates.csv").exists()
 
     def test_seeded_fit_reproducible(self, tmp_path):
         config_path, out = _write_config(tmp_path, out_name="f1")
-        runner = CliRunner()
-        assert runner.invoke(main, ["--config", str(config_path), "synth"]).exit_code == 0
-        first = runner.invoke(main, ["--config", str(config_path), "fit"])
+        assert _invoke(["--config", str(config_path), "synth"]).exit_code == 0
+        first = _invoke(["--config", str(config_path), "fit"])
         assert first.exit_code in (0, 3), first.output
         u_first = (out / "u_estimates.csv").read_bytes()
         draws_first = (out / "draws.csv").read_bytes()
-        second = runner.invoke(main, ["--config", str(config_path), "fit"])
+        second = _invoke(["--config", str(config_path), "fit"])
         assert second.exit_code == first.exit_code
         assert (out / "u_estimates.csv").read_bytes() == u_first
         assert (out / "draws.csv").read_bytes() == draws_first
@@ -386,7 +429,7 @@ class TestFitCommand:
 
 class TestPipelineCommand:
     def test_artifacts_present(self, pipeline_run):
-        _, out, _ = pipeline_run
+        _, out = pipeline_run
         expected = {
             "inspections.csv", "timeseries.csv", "ground_truth.json",
             "transitions.csv", "draws.csv", "diagnostics.json", "u_estimates.csv",
@@ -396,7 +439,7 @@ class TestPipelineCommand:
         assert expected <= {p.name for p in out.iterdir()}
 
     def test_report_consistent_with_artifacts(self, pipeline_run):
-        _, out, _ = pipeline_run
+        _, out = pipeline_run
         report = json.loads((out / "report.json").read_text())
         groups_csv = (out / "groups.csv").read_text().splitlines()[1:]
         n_positive = sum(1 for line in groups_csv if line.endswith(",positive"))
@@ -410,7 +453,7 @@ class TestPipelineCommand:
         assert report["sampler"] == diag["summary"]
 
     def test_report_is_strict_json(self, pipeline_run):
-        _, out, _ = pipeline_run
+        _, out = pipeline_run
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -422,7 +465,7 @@ class TestPipelineCommand:
         assert report["gap_ratio"] is None
 
     def test_every_json_artifact_is_strict(self, pipeline_run):
-        _, out, _ = pipeline_run
+        _, out = pipeline_run
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -439,7 +482,7 @@ class TestPipelineCommand:
             assert text.endswith("\n") and not text.endswith("\n\n"), name
 
     def test_build_report_returns_what_it_writes(self, pipeline_run):
-        config_path, _, _ = pipeline_run
+        config_path, _ = pipeline_run
         cfg = load_config(config_path)
         report = build_report(cfg)
         assert report == read_json(cfg.path("report"))
@@ -448,7 +491,7 @@ class TestPipelineCommand:
         ]
 
     def test_diagnostics_record_chains_and_data(self, pipeline_run):
-        _, out, _ = pipeline_run
+        _, out = pipeline_run
         diag = json.loads((out / "diagnostics.json").read_text())
         assert len(diag["chains"]) == 2
         for chain in diag["chains"]:
@@ -466,29 +509,27 @@ class TestPipelineCommand:
         assert data["n_transitions"] + dropped == data["n_records"] - 25
 
     def test_rerun_uses_cache_and_report_identical(self, pipeline_run):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         report_before = (out / "report.json").read_bytes()
-        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code in (0, 3)
         timings = json.loads((out / "timings.json").read_text())
         assert "fit_cached" in timings
         assert (out / "report.json").read_bytes() == report_before
 
     def test_cache_does_not_depend_on_threads(self, pipeline_run):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         for threads in ("1", "2"):
-            result = runner.invoke(
-                main, ["--config", str(config_path), "--threads", threads, "pipeline"]
-            )
+            result = _invoke(["--config", str(config_path), "--threads", threads, "pipeline"])
             assert result.exit_code in (0, 3), result.output
         timings = json.loads((out / "timings.json").read_text())
         assert "fit_cached" in timings and "discover_cached" in timings
 
     def test_corrupted_cache_invalidated(self, pipeline_run):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         report_before = (out / "report.json").read_bytes()
         (out / "u_estimates.csv").write_text("corrupted\n")
-        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code in (0, 3)
         timings = json.loads((out / "timings.json").read_text())
         assert "fit" in timings  # stage re-ran rather than using the cache
@@ -497,7 +538,7 @@ class TestPipelineCommand:
     def test_restored_file_of_a_skipped_group_is_deleted(self, pipeline_run, tmp_path):
         # the default 22 features need 25 members, so both groups are skipped;
         # a file of a skipped group put back afterwards is not a cached output
-        _, out, runner = pipeline_run
+        _, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         stale = (copy / "effects_positive.csv").read_bytes()
@@ -507,35 +548,35 @@ class TestPipelineCommand:
                 "active = std, min, recent_change_rate, trend_slope_90d", "active ="
             )
         )
-        assert runner.invoke(main, ["--config", str(config_path), "pipeline"]).exit_code == 3
+        assert _invoke(["--config", str(config_path), "pipeline"]).exit_code == 3
         assert not (copy / "effects_positive.csv").exists()
         (copy / "effects_positive.csv").write_bytes(stale)
-        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code == 3, result.output
         timings = json.loads((copy / "timings.json").read_text())
         assert "discover" in timings and "fit_cached" in timings
         assert not (copy / "effects_positive.csv").exists()
-        result = runner.invoke(main, ["--config", str(config_path), "report"])
+        result = _invoke(["--config", str(config_path), "report"])
         assert result.exit_code == 0, result.output
         assert "skipped groups: negative, positive" in result.output
 
     def test_report_command_recomputes_identical_report(self, pipeline_run):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         before = (out / "report.json").read_bytes()
-        result = runner.invoke(main, ["--config", str(config_path), "report"])
+        result = _invoke(["--config", str(config_path), "report"])
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == before
 
     def test_report_before_discover_names_the_missing_record(self, pipeline_run, tmp_path):
         # the output directory as `group` leaves it: no group has a record
         # yet, which says nothing of the groups' sizes
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         (discover,) = (stage for stage in STAGES if stage.name == "discover")
         for path in discover.outputs(load_config(config_path, out_dir=copy)):
             path.unlink()
-        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "report"])
+        result = _invoke(["--config", str(config_path), "--out", str(copy), "report"])
         assert result.exit_code == 2, result.output
         assert f"[report] {copy / 'discovery_positive.json'}: file not found" in result.output
         assert "skipped groups" not in result.output
@@ -560,12 +601,12 @@ class TestStageCacheKeys:
         ids=["n_bootstrap", "top_k", "window", "n_draws", "use_covariates", "n_pumps"],
     )
     def test_setting_reruns_exactly_its_stages(self, pipeline_run, tmp_path, line, setting, reran):
-        _, out, runner = pipeline_run
+        _, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         config_path = tmp_path / "c.ini"
         config_path.write_text(SMALL_CONFIG.format(out=copy).replace(line, setting))
-        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code in (0, 3), result.output
         timings = json.loads((copy / "timings.json").read_text())
         stages = ("synth", "fit", "features", "group", "discover")
@@ -638,7 +679,7 @@ class TestMalformedArtifacts:
         ],
     )
     def test_exit_2_with_file_and_line(self, pipeline_run, tmp_path, name, commands, message):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         path = copy / name
@@ -652,9 +693,7 @@ class TestMalformedArtifacts:
         lines[-1] = corrupt[name]
         path.write_text("".join(lines))
         for command in commands:
-            result = runner.invoke(
-                main, ["--config", str(config_path), "--out", str(copy), command]
-            )
+            result = _invoke(["--config", str(config_path), "--out", str(copy), command])
             assert result.exit_code == 2, result.output
             assert f"{path} line {len(lines)}: {message}" in result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -663,24 +702,24 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("command", ["report", "discover"])
     def test_malformed_json_artifact(self, pipeline_run, tmp_path, command):
         # the report is built by either command, and labelled with the command
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         path = copy / "diagnostics.json"
         path.write_text("{\n{broken\n")
-        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), command])
+        result = _invoke(["--config", str(config_path), "--out", str(copy), command])
         assert result.exit_code == 2, result.output
         assert f"stage failure: [{command}] {path} line 2: " in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_header_only_groups_file(self, pipeline_run, tmp_path):
         # the u histogram of no pumps used to end in a traceback
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         path = copy / "groups.csv"
         path.write_text(path.read_text().splitlines(keepends=True)[0])
-        result = runner.invoke(main, ["--config", str(config_path), "--out", str(copy), "discover"])
+        result = _invoke(["--config", str(config_path), "--out", str(copy), "discover"])
         assert result.exit_code == 2, result.output
         assert f"{path} line 2: no pumps" in result.output
 
@@ -689,14 +728,12 @@ class TestPumpSets:
     """Per-pump artifacts are matched to the feature matrix by pump id."""
 
     def _copy(self, pipeline_run, tmp_path):
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
 
         def invoke(command):
-            return runner.invoke(
-                main, ["--config", str(config_path), "--out", str(copy), command]
-            )
+            return _invoke(["--config", str(config_path), "--out", str(copy), command])
 
         return copy, invoke
 
@@ -743,15 +780,13 @@ class TestPipelineFailure:
     def test_unwritable_artifact_is_a_stage_failure(self, pipeline_run, tmp_path, flags):
         # with the cache the fit's outputs are hashed, without it draws.csv is
         # written; either way the directory in its place fails the fit
-        config_path, out, runner = pipeline_run
+        config_path, out = pipeline_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         draws = copy / "draws.csv"
         draws.unlink()
         draws.mkdir()
-        result = runner.invoke(
-            main, ["--config", str(config_path), "--out", str(copy), "pipeline", *flags]
-        )
+        result = _invoke(["--config", str(config_path), "--out", str(copy), "pipeline", *flags])
         assert result.exit_code == 2, result.output
         assert f"stage failure: [fit] {draws}: Is a directory" in result.output
         assert isinstance(result.exception, SystemExit)
@@ -770,7 +805,7 @@ class TestPipelineFailure:
             f"[pipeline]\nout_dir = {out}\nsource = files\n"
             f"inspections = {inspections}\ntimeseries = {timeseries}\n"
         )
-        result = CliRunner().invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code == 2, result.output
         assert "[fit]" in result.output
         assert json.loads((out / "timings.json").read_text()) == {"failed_stage": "fit"}
@@ -788,7 +823,7 @@ class TestFeaturesCommand:
             f"[pipeline]\nout_dir = {out}\nsource = files\n"
             f"inspections = {inspections}\ntimeseries = {timeseries}\n"
         )
-        result = CliRunner().invoke(main, ["--config", str(config_path), "features"])
+        result = _invoke(["--config", str(config_path), "features"])
         assert result.exit_code == 2, result.output
         assert "[features]" in result.output
         assert str(timeseries) in result.output
@@ -807,8 +842,7 @@ class TestDiscoverSkipsSmallGroups:
                 "active = std, min, recent_change_rate, trend_slope_90d", "active ="
             )
         )
-        runner = CliRunner()
-        result = runner.invoke(main, ["--config", str(config_path), "pipeline"])
+        result = _invoke(["--config", str(config_path), "pipeline"])
         assert result.exit_code in (0, 3), result.output
         report = json.loads((out / "report.json").read_text())
         assert report["skipped_groups"] == ["negative", "positive"]
@@ -822,7 +856,7 @@ class TestDiscoverSkipsSmallGroups:
             record = {"skipped": f"group {group}: {count} members < 25 required for 22 features"}
             assert json.loads((out / f"discovery_{group}.json").read_text()) == record
             assert report["discovery"][group] == record
-        alone = runner.invoke(main, ["--config", str(config_path), "discover"])
+        alone = _invoke(["--config", str(config_path), "discover"])
         assert alone.exit_code == 3, alone.output
         assert flag in alone.output
         for group in ("negative", "positive"):
@@ -842,9 +876,7 @@ class TestCollinearDefaultFeatures:
             "[lingam]\nn_bootstrap = 10\n"
         )
         with pytest.warns(UserWarning, match="dependent columns.*: iqr, trend_intercept"):
-            result = CliRunner().invoke(
-                main, ["--config", str(config_path), "pipeline", "--no-cache"]
-            )
+            result = _invoke(["--config", str(config_path), "pipeline", "--no-cache"])
         assert result.exit_code in (0, 3), result.output
         report = json.loads((out / "report.json").read_text())
         assert report["effects"]
@@ -866,7 +898,7 @@ class TestCollinearDefaultFeatures:
 
 class TestHelp:
     def test_top_level_help_lists_subcommands(self):
-        result = CliRunner().invoke(main, ["--help"])
+        result = _invoke(["--help"])
         assert result.exit_code == 0
         for name in ("synth", "fit", "features", "group", "discover", "pipeline", "report"):
             assert name in result.output

@@ -4,7 +4,7 @@ defaults match the code."""
 import re
 from pathlib import Path
 
-from pumpcausal.cli import main
+from pumpcausal.cli import _parser
 from pumpcausal.pipeline import PipelineConfig, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,7 +21,8 @@ def test_library_entry_points_import():
 def test_subcommands_are_the_cli_commands():
     text = README.read_text(encoding="utf-8")
     sentence = re.search(r"Subcommands: (.*?)\.\s", text, re.DOTALL).group(1)
-    assert re.findall(r"`([^`]+)`", sentence) == list(main.commands)
+    (commands,) = (action.choices for action in _parser()._actions if action.dest == "command")
+    assert re.findall(r"`([^`]+)`", sentence) == list(commands)
 
 
 def test_config_example_holds_the_defaults(tmp_path):
