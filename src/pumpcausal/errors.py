@@ -22,7 +22,8 @@ class LingamError(PumpcausalError):
 
 
 class InsufficientGroupError(LingamError):
-    """Group has too few members for causal discovery."""
+    """Group too small for causal discovery: below the size gate, or no
+    bootstrap resample of it can be fitted."""
 
 
 class StageError(PumpcausalError):

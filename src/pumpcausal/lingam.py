@@ -522,7 +522,8 @@ def bootstrap_cis(
     they reflect scale uncertainty as well.  Resamples where the fit
     degenerates (constant or collinear columns) are left out of the
     intervals and the sign stability, and counted in ``n_flagged``; when
-    every resample degenerates this raises.  Sign stability is the fraction
+    every resample degenerates, the group is too small to analyse and this
+    raises InsufficientGroupError.  Sign stability is the fraction
     of the remaining resamples whose edge sign equals the point estimate's.
 
     Resamples run in blocks of consecutive indices, two steps per block:
@@ -558,7 +559,7 @@ def bootstrap_cis(
         n_fit += len(k)
         n_unconverged += int(np.sum(~converged[ok]))
     if not n_fit:
-        raise LingamError(f"all {n_resamples} bootstrap resamples degenerate")
+        raise InsufficientGroupError(f"all {n_resamples} bootstrap resamples degenerate")
     est = est[:n_fit]
     # column sds are positive, so raw signs are the standardized signs
     same_sign = ((est > 0) == (point_estimate > 0)) & ((est < 0) == (point_estimate < 0))
@@ -673,14 +674,12 @@ def write_order_json(model: CausalModel, path: str | Path) -> None:
     write_json(path, [model.variable_names[i] for i in model.causal_order])
 
 
-def write_effects_csv(model: CausalModel, path: str | Path, top_k: int | None = None) -> None:
-    """Feature -> target effects by decreasing magnitude; the first ``top_k``
-    of them when given."""
-    rows = model.target_edge_table()[:top_k]
+def write_effects_csv(model: CausalModel, path: str | Path) -> None:
+    """Feature -> target effects by decreasing magnitude."""
     write_table(
         path,
         EFFECTS_HEADER,
-        ([r["from"], *(r[f] for f in _EDGE_FIELDS)] for r in rows),
+        ([r["from"], *(r[f] for f in _EDGE_FIELDS)] for r in model.target_edge_table()),
     )
 
 

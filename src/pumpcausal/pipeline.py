@@ -92,7 +92,6 @@ class PipelineConfig:
     source: str = "synth"  # synth | files
     inspections: Path | None = None
     timeseries: Path | None = None
-    top_k: int = 10
     synth: SynthConfig = SynthConfig()
     n_draws: int = SamplerConfig.n_draws
     n_tune: int = SamplerConfig.n_tune
@@ -121,8 +120,6 @@ class PipelineConfig:
         unknown = [n for n in self.active_features if n not in features_mod.FEATURE_NAMES]
         if unknown:
             raise ConfigError(f"unknown active features: {unknown}")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
         if self.feature_window < features_mod.MIN_WINDOW:
             raise ConfigError(
                 f"feature window must be >= {features_mod.MIN_WINDOW}, got {self.feature_window}"
@@ -156,7 +153,7 @@ class PipelineConfig:
 # field of the same name (of SynthConfig for [synth], of PipelineConfig
 # otherwise) unless _FIELD_FOR_KEY renames it.
 _SECTION_KEYS = {
-    "pipeline": {"out_dir", "seed", "threads", "source", "inspections", "timeseries", "top_k"},
+    "pipeline": {"out_dir", "seed", "threads", "source", "inspections", "timeseries"},
     "synth": {
         "n_pumps", "sigma_u", "study_days", "interval_min",
         "interval_max", "ar_coeff", "ar_noise_sd",
@@ -318,12 +315,12 @@ def _read_per_pump(cfg: PipelineConfig, key: str):
     return table
 
 
-def _read_with_features(cfg: PipelineConfig, key: str):
-    """The feature matrix, and the columns after the pump id of the
-    one-row-per-pump artifact ``key`` in the matrix's pump order; the two
-    files must hold the same pumps."""
-    path = cfg.path(key)
-    table = _read_per_pump(cfg, key)
+def _read_with_features(cfg: PipelineConfig):
+    """The feature matrix, and the columns after the pump id of
+    ``groups.csv`` in the matrix's pump order; the two files must hold the
+    same pumps."""
+    path = cfg.path("groups")
+    table = _read_per_pump(cfg, "groups")
     matrix = features_mod.read_features_csv(cfg.path("features"))
     row = {pid: r for r, pid in enumerate(table.keys)}  # keys do not repeat
     missing = [pid for pid in matrix.pump_ids if pid not in row]
@@ -339,11 +336,12 @@ def _read_with_features(cfg: PipelineConfig, key: str):
 
 def run_group(cfg: PipelineConfig) -> None:
     """Assign pumps to sign groups and persist the assignment."""
-    matrix, (u_mean, _, _) = _read_with_features(cfg, "u_estimates")
+    table = _read_per_pump(cfg, "u_estimates")  # keys do not repeat: one per row
+    _, u_mean, _, _ = table.columns
     write_table(
         cfg.path("groups"),
         GROUPS_HEADER,
-        zip(matrix.pump_ids, u_mean.tolist(), [g.value for g in sign_groups(u_mean)]),
+        zip(table.keys, u_mean.tolist(), [g.value for g in sign_groups(u_mean)]),
     )
 
 
@@ -369,7 +367,6 @@ def group_artifact_paths(cfg: PipelineConfig, group: Group) -> dict[str, Path]:
         "adjacency": out / f"adjacency_{group.value}.csv",
         "order": out / f"order_{group.value}.json",
         "effects": out / f"effects_{group.value}.csv",
-        "top_effects": out / f"top_effects_{group.value}.csv",
         "discovery": out / f"discovery_{group.value}.json",
     }
 
@@ -384,11 +381,12 @@ def _discovery_flags(skipped_groups: list[str]) -> list[str]:
 def run_discover(cfg: PipelineConfig) -> list[str]:
     """Run per-group causal discovery and write the run report.
 
-    Also writes the figure data.  A group too small to analyse leaves only
+    Also writes the figure data.  A group too small to analyse (below the
+    size gate, or with no bootstrap resample that can be fitted) leaves only
     ``discovery_<group>.json``, holding ``{"skipped": <reason>}``.  Returns
     a flag when no group was analysed.
     """
-    matrix, (u_mean, groups) = _read_with_features(cfg, "groups")
+    matrix, (u_mean, groups) = _read_with_features(cfg)
     _write_u_hist(u_mean, groups, cfg.path("u_hist"))
     for group_data in group_datasets(matrix, u_mean, groups):
         paths = group_artifact_paths(cfg, group_data.group)
@@ -402,7 +400,6 @@ def run_discover(cfg: PipelineConfig) -> list[str]:
         lingam_mod.write_adjacency_csv(model, paths["adjacency"])
         lingam_mod.write_order_json(model, paths["order"])
         lingam_mod.write_effects_csv(model, paths["effects"])
-        lingam_mod.write_effects_csv(model, paths["top_effects"], cfg.top_k)
         lingam_mod.write_discovery_json(model, paths["discovery"])
     return _discovery_flags(build_report(cfg)["skipped_groups"])
 
@@ -450,9 +447,8 @@ def build_report(cfg: PipelineConfig) -> dict:
     max_effect: dict[str, float] = {}
     for group, record in discovery.items():
         if "skipped" not in record:
-            table = _read_effects_csv(group_artifact_paths(cfg, Group(group))["effects"])
-            effects[group] = table[: cfg.top_k]
-            max_effect[group] = max((abs(r["effect"]) for r in table), default=0.0)
+            effects[group] = _read_effects_csv(group_artifact_paths(cfg, Group(group))["effects"])
+            max_effect[group] = max((abs(r["effect"]) for r in effects[group]), default=0.0)
     # null unless both groups were analysed and the smaller largest effect
     # is not zero: a zero there makes the ratio infinite or 0/0
     lo, hi = sorted(max_effect.values()) if len(max_effect) == 2 else (0.0, 0.0)
@@ -516,12 +512,12 @@ STAGES = (
           settings=lambda cfg: (
               cfg.feature_window, cfg.feature_window_end, ",".join(cfg.active_features))),
     Stage("group", run_group, _files("groups"),
-          inputs=_files("u_estimates", "features"), settings=lambda cfg: ()),
+          inputs=_files("u_estimates"), settings=lambda cfg: ()),
     Stage("discover", run_discover,
           lambda cfg: _files("u_hist", "report")(cfg)
           + [path for g in Group for path in group_artifact_paths(cfg, g).values()],
           inputs=_files("groups", "features", "diagnostics"),
-          settings=lambda cfg: (_without_threads(cfg.lingam_config()), cfg.top_k)),
+          settings=lambda cfg: (_without_threads(cfg.lingam_config()),)),
 )
 
 

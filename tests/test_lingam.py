@@ -573,7 +573,7 @@ class TestDiscover:
             target=data[:, 20],
             feature_names=tuple(f"f{j}" for j in range(20)),
         )
-        with pytest.raises(LingamError, match="all 50 bootstrap resamples degenerate"):
+        with pytest.raises(InsufficientGroupError, match="all 50 bootstrap resamples degenerate"):
             discover(group, LingamConfig(n_bootstrap=50, seed=1, threads=1))
 
     def test_constant_feature_dropped(self):

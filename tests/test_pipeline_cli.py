@@ -15,6 +15,7 @@ import pytest
 from pumpcausal.cli import main
 from pumpcausal.diagnostics import ess, split_rhat
 from pumpcausal.errors import ConfigError, PumpcausalError
+from pumpcausal.features import FeatureMatrix, write_features_csv
 from pumpcausal.lingam import LingamConfig
 from pumpcausal.nuts import (
     PosteriorSamples,
@@ -28,6 +29,7 @@ from pumpcausal.pipeline import (
     PipelineConfig,
     build_report,
     load_config,
+    run_discover,
     run_synth,
 )
 from pumpcausal.rng import worker_count
@@ -117,7 +119,6 @@ class TestConfigLoading:
                 "source": ("files", "source", "files"),
                 "inspections": (str(inspections), "inspections", inspections),
                 "timeseries": (str(timeseries), "timeseries", timeseries),
-                "top_k": ("3", "top_k", 3),
             },
             "synth": {
                 "n_pumps": ("12", "n_pumps", 12),
@@ -451,6 +452,13 @@ class TestPipelineCommand:
         )
         diag = json.loads((out / "diagnostics.json").read_text())
         assert report["sampler"] == diag["summary"]
+        # every row of each analysed group's effects file, in its order
+        assert report["effects"]
+        for group, rows in report["effects"].items():
+            lines = (out / f"effects_{group}.csv").read_text().splitlines()[1:]
+            assert [r["feature"] for r in rows] == [line.split(",")[0] for line in lines]
+            for r in rows:
+                assert r["ci_excludes_zero"] == (r["ci_low"] > 0.0 or r["ci_high"] < 0.0)
 
     def test_report_is_strict_json(self, pipeline_run):
         _, out = pipeline_run
@@ -591,14 +599,13 @@ class TestStageCacheKeys:
         "line, setting, reran",
         [
             ("n_bootstrap = 15", "n_bootstrap = 16", {"discover"}),
-            ("seed = 11", "seed = 11\ntop_k = 3", {"discover"}),
-            ("[features]", "[features]\nwindow = 60", {"features", "group", "discover"}),
+            ("[features]", "[features]\nwindow = 60", {"features", "discover"}),
             ("n_draws = 100", "n_draws = 101", {"fit", "group", "discover"}),
             ("[lingam]", "[hazard]\nuse_covariates = false\n[lingam]",
              {"fit", "group", "discover"}),
             ("n_pumps = 25", "n_pumps = 26", {"synth", "fit", "features", "group", "discover"}),
         ],
-        ids=["n_bootstrap", "top_k", "window", "n_draws", "use_covariates", "n_pumps"],
+        ids=["n_bootstrap", "window", "n_draws", "use_covariates", "n_pumps"],
     )
     def test_setting_reruns_exactly_its_stages(self, pipeline_run, tmp_path, line, setting, reran):
         _, out = pipeline_run
@@ -675,7 +682,7 @@ class TestMalformedArtifacts:
             ("groups.csv", ("report", "discover"),
              "group 'positve' is not one of positive, negative"),
             ("u_estimates.csv", ("group",), "u_mean 'high' is not a number"),
-            ("features.csv", ("group",), "pump_id P000 repeats line 2"),
+            ("features.csv", ("discover",), "pump_id P000 repeats line 2"),
         ],
     )
     def test_exit_2_with_file_and_line(self, pipeline_run, tmp_path, name, commands, message):
@@ -743,7 +750,8 @@ class TestPumpSets:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
         missing = lines[-1].split(",")[0]
-        result = invoke("group")
+        assert invoke("group").exit_code == 0  # group reads no features
+        result = invoke("discover")
         assert result.exit_code == 2, result.output
         assert "pump sets differ" in result.output
         assert f"only in the features: ['{missing}']" in result.output
@@ -757,22 +765,35 @@ class TestPumpSets:
         assert "pump sets differ" in result.output
         assert "only in groups.csv: ['X999']" in result.output
 
-    def test_shuffled_u_estimates_follow_the_features(self, pipeline_run, tmp_path):
+    def test_shuffled_u_estimates_change_no_discovery_output(self, pipeline_run, tmp_path):
+        # groups.csv follows u_estimates.csv; discover matches its rows to
+        # the features by pump id, so its outputs do not depend on that order
+        _, out = pipeline_run
         copy, invoke = self._copy(pipeline_run, tmp_path)
         path = copy / "u_estimates.csv"
         header, *rows = path.read_text().splitlines(keepends=True)
         shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
         assert shuffled != rows
         path.write_text(header + "".join(shuffled))
-        before = (copy / "groups.csv").read_bytes()
         (copy / "groups.csv").unlink()
         assert invoke("group").exit_code == 0
-        u_mean = {r.split(",")[0]: r.split(",")[1] for r in rows}
-        feature_ids = [r.split(",")[0] for r in (copy / "features.csv").read_text().splitlines()[1:]]
         groups = [r.split(",") for r in (copy / "groups.csv").read_text().splitlines()[1:]]
-        assert [g[0] for g in groups] == feature_ids
-        assert all(g[1] == u_mean[g[0]] for g in groups)
-        assert (copy / "groups.csv").read_bytes() == before
+        assert [g[:2] for g in groups] == [r.split(",")[:2] for r in shuffled]
+        result = invoke("discover")
+        assert result.exit_code in (0, 3), result.output
+        cfg = load_config(None, out_dir=out)
+        discover_outputs = next(s for s in STAGES if s.name == "discover").outputs(cfg)
+        for original in (p for p in discover_outputs if p.exists()):
+            assert (copy / original.name).read_bytes() == original.read_bytes(), original.name
+
+    def test_stages_before_features_need_no_features_file(self, pipeline_run, tmp_path):
+        copy, invoke = self._copy(pipeline_run, tmp_path)
+        (copy / "features.csv").unlink()
+        (copy / "groups.csv").unlink()
+        for command in ("synth", "fit", "group"):
+            assert invoke(command).exit_code in (0, 3), command
+        assert not (copy / "features.csv").exists()
+        assert (copy / "groups.csv").exists()
 
 
 class TestPipelineFailure:
@@ -861,6 +882,42 @@ class TestDiscoverSkipsSmallGroups:
         assert flag in alone.output
         for group in ("negative", "positive"):
             assert [p.name for p in out.glob(f"*_{group}.*")] == [f"discovery_{group}.json"]
+
+    def test_group_with_no_usable_resample_is_skipped(self, tmp_path):
+        # 23 rows pass the gate for 20 features, but a resample of them holds
+        # about 15 distinct rows, too few for 21 variables, so no resample
+        # can be fitted; the 60-row group is analysed all the same
+        rng = np.random.default_rng(23)
+        n_positive, n_negative = 23, 60
+        ids = [f"P{i:03d}" for i in range(n_positive + n_negative)]
+        u_mean = np.concatenate(
+            [rng.uniform(0.1, 1.0, n_positive), rng.uniform(-1.0, -0.1, n_negative)]
+        )
+        cfg = PipelineConfig(out_dir=tmp_path, seed=1, threads=1, n_bootstrap=50)
+        write_features_csv(
+            FeatureMatrix(
+                tuple(ids),
+                tuple(f"f{j}" for j in range(20)),
+                rng.uniform(-1.0, 1.0, (len(ids), 20)),
+            ),
+            cfg.path("features"),
+        )
+        cfg.path("groups").write_text(
+            "pump_id,u_mean,group\n"
+            + "".join(
+                f"{pid},{u!r},{'positive' if u > 0 else 'negative'}\n"
+                for pid, u in zip(ids, u_mean.tolist())
+            )
+        )
+        assert run_discover(cfg) == []
+        report = read_json(cfg.path("report"))
+        assert report["skipped_groups"] == ["positive"]
+        assert report["discovery"]["positive"] == {
+            "skipped": "all 50 bootstrap resamples degenerate"
+        }
+        assert list(report["effects"]) == ["negative"]
+        assert report["discovery"]["negative"]["bootstrap"]["n_flagged"] < 50
+        assert [p.name for p in tmp_path.glob("*_positive.*")] == ["discovery_positive.json"]
 
 
 class TestCollinearDefaultFeatures:
